@@ -13,8 +13,7 @@ median next to a third of the metric's bound.
     python3 perfbench/prove.py --out perfbench/baseline.json
 
 Exits nonzero when a run fails, reports an incorrect output, or (with
-``--trace 0``) an end-to-end spread other than ``setup_s`` reaches a third
-of its bound.
+``--trace 0``) an end-to-end spread reaches a third of its bound.
 """
 
 import argparse
@@ -124,7 +123,7 @@ def main():
             note = ""
             if args.trace == 0 and k in bounds:
                 limit = bounds[k] / 3
-                flag = "ok" if s["spread"] < limit or k == "setup_s" else "WIDE"
+                flag = "ok" if s["spread"] < limit else "WIDE"
                 if flag == "WIDE":
                     ok = False
                 note = f"spread {s['spread']:.4f} (bound/3 {limit:.4f}) {flag}"

@@ -6,9 +6,10 @@
 //! ```
 //!
 //! One invocation runs one workload in its own process: it builds the
-//! workload's inputs from `--seed`, sets up (several times; the median is
-//! `setup_s`), runs whole passes of the workload's op mix until `--seconds`
-//! have passed, checks every output against an independent reference and
+//! workload's inputs from `--seed`, sets up, runs whole passes of the
+//! workload's op mix until `--seconds` have passed (setting up again
+//! between passes; the median set-up time is `setup_s`), checks every
+//! output against an independent reference and
 //! prints one metric per line, then a JSON result as the last line.
 //! `--trace 0` reports the end-to-end metrics; `--trace 1` alternates
 //! passes untraced and under the benchmark's span recorder and reports
@@ -31,7 +32,11 @@ use std::time::Instant;
 use spans::Recorder;
 
 /// Set-ups per run; `setup_s` is their median.
-const SETUPS: usize = 3;
+const SETUPS: usize = 15;
+
+/// Untimed passes before the timed phase; `peak_rss_mib` is the lowest of
+/// their peaks.
+const MEMORY_PASSES: usize = 3;
 
 /// Everything one run measures, summed over its passes.
 #[derive(Debug, Default)]
@@ -188,11 +193,40 @@ fn parse_args() -> Result<Args, String> {
     Ok(a)
 }
 
+/// The set-up timings of one run. The first set-up builds the workload
+/// the run measures; the others are built and dropped between timed
+/// passes, spread evenly over the run, so `setup_s` samples the host over
+/// the whole run and not only during its first second.
+struct Setups {
+    seed: u64,
+    workers: usize,
+    secs: Vec<f64>,
+}
+
+impl Setups {
+    fn time<W: Workload>(&mut self) -> W {
+        let t0 = Instant::now();
+        let w = W::setup(self.seed, self.workers);
+        self.secs.push(t0.elapsed().as_secs_f64());
+        w
+    }
+
+    /// Set up and drop until `share` (0 to 1) of the set-ups are done.
+    fn keep_pace<W: Workload>(&mut self, share: f64) {
+        let due = 1 + ((SETUPS - 1) as f64 * share.min(1.0)) as usize;
+        while self.secs.len() < due {
+            drop(self.time::<W>());
+        }
+    }
+}
+
 /// Run whole passes until `seconds` of wall time and at least
-/// `min_passes` passes have gone by. With a second recorder and tally,
-/// passes alternate between the two.
+/// `min_passes` passes have gone by, with the remaining set-ups between
+/// them. With a second recorder and tally, passes alternate between the
+/// two.
 fn timed_phase<W: Workload>(
     w: &mut W,
+    setups: &mut Setups,
     sides: &mut [(&Recorder, &mut Tally)],
     seconds: f64,
     min_passes: usize,
@@ -202,28 +236,43 @@ fn timed_phase<W: Workload>(
         let (rec, t) = &mut sides[k % sides.len()];
         w.pass(rec, t);
         t.end_pass();
+        let elapsed = t0.elapsed().as_secs_f64();
+        setups.keep_pace::<W>(elapsed / seconds);
         let done = k + 1 >= min_passes && (k + 1) % sides.len() == 0;
-        if done && t0.elapsed().as_secs_f64() >= seconds {
+        if done && elapsed >= seconds {
             break;
         }
     }
+    setups.keep_pace::<W>(1.0);
 }
 
 fn run<W: Workload>(args: &Args, spec: &report::WorkloadSpec) -> report::Outcome {
     let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let mut setup_s = Vec::with_capacity(SETUPS);
-    let mut w = None;
-    for _ in 0..SETUPS {
-        // Drop the previous set-up first so pools and daemons never overlap.
-        drop(w.take());
-        let t0 = Instant::now();
-        w = Some(W::setup(args.seed, workers));
-        setup_s.push(t0.elapsed().as_secs_f64());
-    }
-    let mut w = w.expect("at least one set-up");
+    let mut setups = Setups {
+        seed: args.seed,
+        workers,
+        secs: Vec::with_capacity(SETUPS),
+    };
+    let mut w = setups.time::<W>();
 
     let mut t = Tally::default();
     let rec = Recorder::new(args.trace);
+    if !args.trace {
+        // Passes for the memory they need, untimed and before any other
+        // set-up runs, so no dropped set-up's threads and arenas are part
+        // of the peak. Their outputs are checked like every other pass's.
+        // Leftover arena fragments only ever add to a pass's peak (one
+        // process's peaks drifted from 14 to 20 MiB over 15 passes), so
+        // the lowest peak is the steady figure.
+        let mut extra = Tally::default();
+        let peak = (0..MEMORY_PASSES)
+            .map(|_| stats::peak_rss_mib_of(|| w.pass(&rec, &mut extra)))
+            .fold(f64::INFINITY, f64::min);
+        t.fixed.insert("peak_rss_mib", peak);
+        t.attempted += extra.attempted;
+        t.failed += extra.failed;
+        t.failures.extend(extra.failures);
+    }
     let mut untraced = None;
     if args.trace {
         // Passes alternate between untraced and traced: the gap between
@@ -231,25 +280,23 @@ fn run<W: Workload>(args: &Args, spec: &report::WorkloadSpec) -> report::Outcome
         let mut plain = Tally::default();
         let off = Recorder::new(false);
         let sides = &mut [(&off, &mut plain), (&rec, &mut t)];
-        timed_phase(&mut w, sides, args.seconds, spec.min_passes);
+        timed_phase(&mut w, &mut setups, sides, args.seconds, spec.min_passes);
         untraced = Some(plain);
     } else {
-        timed_phase(&mut w, &mut [(&rec, &mut t)], args.seconds, spec.min_passes);
-        // One more pass, untimed, for the memory it needs; its outputs are
-        // checked like every other pass's.
-        let mut extra = Tally::default();
-        let peak = stats::peak_rss_mib_of(|| w.pass(&rec, &mut extra));
-        t.fixed.insert("peak_rss_mib", peak);
-        t.attempted += extra.attempted;
-        t.failed += extra.failed;
-        t.failures.extend(extra.failures);
+        timed_phase(
+            &mut w,
+            &mut setups,
+            &mut [(&rec, &mut t)],
+            args.seconds,
+            spec.min_passes,
+        );
     }
     w.gate(&rec, &mut t);
     drop(w);
     report::Outcome {
         spec: *spec,
         workers,
-        setup_s: stats::median(&setup_s),
+        setup_s: stats::median(&setups.secs),
         tally: t,
         untraced,
         spans: rec.spans(),

@@ -88,55 +88,14 @@ impl Recorder {
     }
 }
 
-/// Self time of every span, nanoseconds: its duration minus the part of
-/// that interval its children cover (overlapping children count once).
-pub fn self_times(spans: &[Span]) -> BTreeMap<SpanId, u64> {
-    let mut children: BTreeMap<SpanId, Vec<(u64, u64)>> = BTreeMap::new();
-    for s in spans {
-        if s.parent != 0 {
-            children.entry(s.parent).or_default().push((s.start, s.end));
-        }
-    }
-    spans
-        .iter()
-        .map(|s| {
-            let covered = children
-                .get(&s.id)
-                .map_or(0, |c| covered_within(c, s.start, s.end));
-            (s.id, (s.end - s.start).saturating_sub(covered))
-        })
-        .collect()
-}
-
-/// Length of the union of `intervals` clipped to `[lo, hi]`.
-fn covered_within(intervals: &[(u64, u64)], lo: u64, hi: u64) -> u64 {
-    let mut iv: Vec<(u64, u64)> = intervals
-        .iter()
-        .map(|&(a, b)| (a.max(lo), b.min(hi)))
-        .filter(|(a, b)| a < b)
-        .collect();
-    iv.sort_unstable();
-    let mut total = 0;
-    let mut cur: Option<(u64, u64)> = None;
-    for (a, b) in iv {
-        cur = match cur {
-            Some((ca, cb)) if a <= cb => Some((ca, cb.max(b))),
-            Some((ca, cb)) => {
-                total += cb - ca;
-                Some((a, b))
-            }
-            None => Some((a, b)),
-        };
-    }
-    total + cur.map_or(0, |(a, b)| b - a)
-}
-
 /// Host seconds each span name kept busy, excluding its children: for
 /// every group of same-named siblings (one per rank when a machine's ranks
-/// call the same function), the union of their intervals minus the union
-/// of their children's. For spans that never overlap a sibling this is the
-/// summed self time; for ranks interleaved on a worker pool it counts the
-/// wall time at least one rank spent in the layer, not each rank's wait.
+/// call the same function), the union of their intervals minus the part of
+/// it their children cover. A span with no same-named sibling is its own
+/// group, so this is its self time: its duration minus the time its
+/// children cover, overlapping children counted once. For ranks
+/// interleaved on a worker pool it counts the wall time at least one rank
+/// spent in the layer, not each rank's wait.
 pub fn busy_seconds_by_name(spans: &[Span]) -> BTreeMap<&'static str, f64> {
     let mut groups: BTreeMap<(SpanId, &'static str), Vec<&Span>> = BTreeMap::new();
     for s in spans {
@@ -148,27 +107,58 @@ pub fn busy_seconds_by_name(spans: &[Span]) -> BTreeMap<&'static str, f64> {
     }
     let mut out: BTreeMap<&'static str, f64> = BTreeMap::new();
     for ((_, name), members) in groups {
-        let own: Vec<(u64, u64)> = members.iter().map(|s| (s.start, s.end)).collect();
-        let kids: Vec<(u64, u64)> = members
-            .iter()
-            .filter_map(|s| children.get(&s.id))
-            .flatten()
-            .copied()
-            .collect();
-        let busy = union_len(&own).saturating_sub(union_len(&kids));
+        let own = merged(members.iter().map(|s| (s.start, s.end)).collect());
+        let kids = merged(
+            members
+                .iter()
+                .filter_map(|s| children.get(&s.id))
+                .flatten()
+                .copied()
+                .collect(),
+        );
+        let busy = total_len(&own) - overlap_len(&own, &kids);
         *out.entry(name).or_default() += busy as f64 * 1e-9;
     }
     out
 }
 
-fn union_len(intervals: &[(u64, u64)]) -> u64 {
-    covered_within(intervals, 0, u64::MAX)
+/// `intervals` as sorted, disjoint, non-empty intervals covering the same
+/// points.
+fn merged(mut intervals: Vec<(u64, u64)>) -> Vec<(u64, u64)> {
+    intervals.retain(|(a, b)| a < b);
+    intervals.sort_unstable();
+    let mut out: Vec<(u64, u64)> = Vec::with_capacity(intervals.len());
+    for (a, b) in intervals {
+        match out.last_mut() {
+            Some(last) if a <= last.1 => last.1 = last.1.max(b),
+            _ => out.push((a, b)),
+        }
+    }
+    out
+}
+
+fn total_len(intervals: &[(u64, u64)]) -> u64 {
+    intervals.iter().map(|(a, b)| b - a).sum()
+}
+
+/// Length of the intersection of two outputs of [`merged`].
+fn overlap_len(x: &[(u64, u64)], y: &[(u64, u64)]) -> u64 {
+    let (mut i, mut j, mut total) = (0, 0, 0);
+    while i < x.len() && j < y.len() {
+        let (lo, hi) = (x[i].0.max(y[j].0), x[i].1.min(y[j].1));
+        total += hi.saturating_sub(lo);
+        if x[i].1 < y[j].1 {
+            i += 1;
+        } else {
+            j += 1;
+        }
+    }
+    total
 }
 
 /// The spans as a Chrome trace-event document, one track per op, each
-/// event carrying its parent and self time.
+/// event carrying its span id and parent.
 pub fn to_chrome_json(spans: &[Span]) -> String {
-    let selfs = self_times(spans);
     let mut out = String::from("{\"traceEvents\":[");
     for (i, s) in spans.iter().enumerate() {
         if i > 0 {
@@ -176,14 +166,13 @@ pub fn to_chrome_json(spans: &[Span]) -> String {
         }
         out.push_str(&format!(
             "{{\"name\":\"{}\",\"ph\":\"X\",\"pid\":1,\"tid\":{},\"ts\":{:.3},\"dur\":{:.3},\
-             \"args\":{{\"id\":{},\"parent\":{},\"self_us\":{:.3}}}}}",
+             \"args\":{{\"id\":{},\"parent\":{}}}}}",
             s.name,
             s.op,
             s.start as f64 / 1e3,
             (s.end - s.start) as f64 / 1e3,
             s.id,
             s.parent,
-            selfs[&s.id] as f64 / 1e3,
         ));
     }
     out.push_str("]}\n");
@@ -205,27 +194,40 @@ mod tests {
         }
     }
 
+    /// Busy nanoseconds per name, rounded.
+    fn busy_ns(spans: &[Span]) -> BTreeMap<&'static str, u64> {
+        busy_seconds_by_name(spans)
+            .into_iter()
+            .map(|(k, v)| (k, (v * 1e9).round() as u64))
+            .collect()
+    }
+
     #[test]
     fn self_time_subtracts_the_children_once() {
         // Root 0..100 with two overlapping children 10..40 and 30..60, and
-        // one grandchild 15..20 inside the first child.
-        let spans = vec![
+        // one grandchild 15..20 inside the first child. Every span has a
+        // name of its own, so its busy time is its self time.
+        let mut spans = vec![
             span(1, 0, 0, 100),
             span(2, 1, 10, 40),
             span(3, 1, 30, 60),
             span(4, 2, 15, 20),
         ];
-        let st = self_times(&spans);
-        assert_eq!(st[&1], 100 - 50); // children cover 10..60
-        assert_eq!(st[&2], 30 - 5);
-        assert_eq!(st[&3], 30);
-        assert_eq!(st[&4], 5);
+        for (s, name) in spans.iter_mut().zip(["root", "a", "b", "grandchild"]) {
+            s.name = name;
+        }
+        let st = busy_ns(&spans);
+        assert_eq!(st["root"], 100 - 50); // children cover 10..60
+        assert_eq!(st["a"], 30 - 5);
+        assert_eq!(st["b"], 30);
+        assert_eq!(st["grandchild"], 5);
     }
 
     #[test]
     fn children_outside_the_parent_are_clipped() {
-        let spans = vec![span(1, 0, 10, 20), span(2, 1, 0, 15), span(3, 1, 18, 30)];
-        assert_eq!(self_times(&spans)[&1], 10 - 5 - 2);
+        let mut spans = vec![span(1, 0, 10, 20), span(2, 1, 0, 15), span(3, 1, 18, 30)];
+        spans[0].name = "root";
+        assert_eq!(busy_ns(&spans)["root"], 10 - 5 - 2);
     }
 
     #[test]
@@ -260,11 +262,10 @@ mod tests {
             s.name = "inspect";
         }
         spans[3].name = "gather";
-        let busy = busy_seconds_by_name(&spans);
-        let ns = |k: &str| (busy[k] * 1e9).round();
-        assert_eq!(ns("s"), 60.0); // 100 minus the union 10..50
-        assert_eq!(ns("inspect"), 35.0); // union 10..50 minus 30..35
-        assert_eq!(ns("gather"), 5.0);
+        let busy = busy_ns(&spans);
+        assert_eq!(busy["s"], 60); // 100 minus the union 10..50
+        assert_eq!(busy["inspect"], 35); // union 10..50 minus 30..35
+        assert_eq!(busy["gather"], 5);
     }
 
     #[test]

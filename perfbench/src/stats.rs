@@ -92,29 +92,23 @@ pub fn peak_rss_mib() -> f64 {
     ooc_bench::peak_rss_bytes().map_or(0.0, |b| b as f64 / (1024.0 * 1024.0))
 }
 
-/// Peak resident set of one call of `f`, MiB, measured with every
-/// allocation of 128 KiB or more (coroutine stacks, slabs, message
-/// buffers) served straight from the kernel. Freed large blocks then leave
-/// the resident set at once, so the peak follows the memory the programs
-/// hold rather than which freed block glibc's arenas happened to keep;
-/// with the default, self-raising threshold the same run's peak varied by
-/// a fifth between processes. The threshold stays fixed afterwards, so
-/// call this after everything that is timed. Elsewhere than Linux with
-/// glibc it reads the process's lifetime peak.
+/// Peak resident set (`VmHWM`) of one call of `f`, MiB, under the
+/// program's own allocator settings. Before the call, free heap pages
+/// glibc's arenas still hold go back to the kernel (`malloc_trim`) and the
+/// kernel's peak count restarts at the current size, so the peak is what
+/// `f` grows the process to rather than which freed blocks earlier passes
+/// happened to leave resident: without the trim the same run's peak varied
+/// by a third between processes. Elsewhere than Linux with glibc it reads
+/// the process's lifetime peak.
 pub fn peak_rss_mib_of(f: impl FnOnce()) -> f64 {
     #[cfg(all(target_os = "linux", target_env = "gnu"))]
     {
         extern "C" {
-            fn mallopt(param: i32, value: i32) -> i32;
             fn malloc_trim(pad: usize) -> i32;
         }
-        const M_MMAP_THRESHOLD: i32 = -3;
-        // SAFETY: both calls take no pointers: `mallopt` sets an allocator
-        // tunable under glibc's own arena lock and `malloc_trim` releases
-        // free memory the allocator holds. No pool worker allocates
-        // between passes.
+        // SAFETY: `malloc_trim` takes no pointers; it releases free memory
+        // under glibc's own arena locks.
         unsafe {
-            mallopt(M_MMAP_THRESHOLD, 128 * 1024);
             malloc_trim(0);
         }
     }
