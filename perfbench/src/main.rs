@@ -34,9 +34,9 @@ use spans::Recorder;
 /// Set-ups per run; `setup_s` is their median.
 const SETUPS: usize = 15;
 
-/// Untimed passes before the timed phase; `peak_rss_mib` is the lowest of
-/// their peaks.
-const MEMORY_PASSES: usize = 3;
+/// Host seconds of untimed passes before the timed phase (at least one
+/// pass); `peak_rss_mib` is the lowest of their peaks.
+const MEMORY_SECONDS: f64 = 3.0;
 
 /// Everything one run measures, summed over its passes.
 #[derive(Debug, Default)]
@@ -263,11 +263,14 @@ fn run<W: Workload>(args: &Args, spec: &report::WorkloadSpec) -> report::Outcome
         // of the peak. Their outputs are checked like every other pass's.
         // Leftover arena fragments only ever add to a pass's peak (one
         // process's peaks drifted from 14 to 20 MiB over 15 passes), so
-        // the lowest peak is the steady figure.
+        // the lowest peak is the steady figure, and short passes get more
+        // tries at it.
         let mut extra = Tally::default();
-        let peak = (0..MEMORY_PASSES)
-            .map(|_| stats::peak_rss_mib_of(|| w.pass(&rec, &mut extra)))
-            .fold(f64::INFINITY, f64::min);
+        let mut peak = f64::INFINITY;
+        let t0 = Instant::now();
+        while peak.is_infinite() || t0.elapsed().as_secs_f64() < MEMORY_SECONDS {
+            peak = peak.min(stats::peak_rss_mib_of(|| w.pass(&rec, &mut extra)));
+        }
         t.fixed.insert("peak_rss_mib", peak);
         t.attempted += extra.attempted;
         t.failed += extra.failed;
