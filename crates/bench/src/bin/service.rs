@@ -36,6 +36,7 @@ use ooc_sched::{
     EventLog, GuardedReport, JobProfile, JobSpec, ObsKind, Policy, ProgramJob, SloScorecard,
 };
 use ooc_trace::html::{Lane, Series};
+use ooc_trace::{fnv1a64, FNV_OFFSET};
 
 struct Opts {
     jobs: usize,
@@ -133,17 +134,6 @@ fn domain_cfg(opts: &Opts, profiles: &[JobProfile], nlong: usize, policy: Policy
     }
 }
 
-/// FNV-1a digest of the rendered event stream: a stable fingerprint the
-/// JSON summary carries so stream divergence shows up in a one-line diff.
-fn fnv64(text: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in text.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 /// One policy's observed run: the reproducible pieces the artifacts are
 /// built from.
 struct PolicyRun {
@@ -233,7 +223,7 @@ fn summarize(runs: &[PolicyRun], opts: &Opts, sample_every: f64) -> String {
             r.log.events.len(),
             r.log.samples.len(),
             postmortems,
-            fnv64(&r.stream),
+            fnv1a64(FNV_OFFSET, r.stream.as_bytes()),
             if i + 1 < runs.len() { "," } else { "" }
         ));
     }

@@ -15,6 +15,7 @@
 //! the inspected schedule just as it does for the affine paths.
 
 use dmsim::{Payload, ProcCtx, Tag};
+use ooc_trace::{fnv1a64, FNV_OFFSET};
 use pario::{plan_union, ByteRun, IoCharge, IoMethod};
 use serde::{Deserialize, Serialize};
 
@@ -32,24 +33,11 @@ const SCHED_MAGIC: &str = "oochpf-irreg 1";
 /// Fingerprint of the descriptor pair a schedule indexes: any change to
 /// shape, distribution or file layout changes the digest.
 fn desc_digest(data: &ArrayDesc, index: &ArrayDesc) -> u64 {
-    fnv1a(
-        format!("{data:?}|{index:?}")
-            .into_bytes()
-            .into_iter()
-            .map(|b| b as u64),
-    )
-}
-
-/// FNV-1a over a u64 stream — the schedule's cheap content fingerprint.
-fn fnv1a(values: impl Iterator<Item = u64>) -> u64 {
-    let mut h = 0xcbf29ce484222325u64;
-    for v in values {
-        for b in v.to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x100000001b3);
-        }
-    }
-    h
+    // Each byte goes in widened to a little-endian u64, which keeps the
+    // digests of already-serialised schedules valid.
+    format!("{data:?}|{index:?}")
+        .bytes()
+        .fold(FNV_OFFSET, |h, b| fnv1a64(h, &u64::from(b).to_le_bytes()))
 }
 
 /// What an [`IrregSchedule`] was inspected against. A cached schedule is
@@ -433,7 +421,9 @@ pub fn inspect(
         env.read_section(index, &Section::full(&local_shape), charge)?
     };
     let n = data.global_shape().extent(0);
-    let index_hash = fnv1a(vals.iter().map(|v| *v as u64));
+    let index_hash = vals
+        .iter()
+        .fold(FNV_OFFSET, |h, v| fnv1a64(h, &(*v as u64).to_le_bytes()));
 
     // Bin every target by owner; collapse duplicates to one wire slot.
     let mut want: Vec<Vec<u64>> = vec![Vec::new(); p];

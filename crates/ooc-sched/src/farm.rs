@@ -161,6 +161,7 @@ fn shift(base: f64, t: f64) -> f64 {
 }
 
 /// Per-disk replay state of one job's stream.
+#[derive(Clone)]
 struct StreamState<'a> {
     /// Admission slot: index into the sim's job list.
     slot: usize,
@@ -303,6 +304,7 @@ struct DiskState {
 }
 
 /// Per-admission bookkeeping beyond the public stats.
+#[derive(Clone)]
 struct JobSlot<'a> {
     profile: &'a JobProfile,
     /// Admission base, for the sampler's in-flight accounting.
@@ -357,6 +359,34 @@ impl<'a> FarmSim<'a> {
             queues: (0..ndisks).map(|_| Vec::new()).collect(),
             stats: Vec::new(),
             slots: Vec::new(),
+            obs: Vec::new(),
+        }
+    }
+
+    /// A copy of the scheduling state for running ahead without disturbing
+    /// this replay: the fork's completions are the ones this farm would
+    /// reach with no further admissions. It records no trace or events,
+    /// and its served log starts empty.
+    pub(crate) fn fork(&self) -> FarmSim<'a> {
+        FarmSim {
+            cfg: FarmConfig {
+                trace: false,
+                observe: false,
+                ..self.cfg
+            },
+            ndisks: self.ndisks,
+            disks: self
+                .disks
+                .iter()
+                .map(|d| DiskState {
+                    served: Vec::new(),
+                    tracer: None,
+                    ..*d
+                })
+                .collect(),
+            queues: self.queues.clone(),
+            stats: self.stats.clone(),
+            slots: self.slots.clone(),
             obs: Vec::new(),
         }
     }

@@ -16,6 +16,9 @@
 //!   divide as the byte-identical fallback. Replays are closed-loop and
 //!   bit-deterministic; the solo FIFO replay reproduces the original
 //!   simulated times exactly.
+//! * [`live`] — capture a whole fleet of programs concurrently on one
+//!   shared worker pool ([`profile_all_on`]), every profile bit-identical
+//!   to its solo capture.
 //! * [`workload`] — a multi-job runtime that admits, batches and runs
 //!   several programs concurrently against the shared farm, with
 //!   deterministic admission control, per-job isolation (fault/RNG
@@ -79,9 +82,7 @@ pub use domain::{
     GuardedReport, JobOutcome,
 };
 pub use farm::{simulate, FarmConfig, FarmJob, FarmReport, FarmSim, JobQueueStats, Served};
-pub use live::{
-    profile_all_on, run_workload_live, run_workload_live_observed, ProgramJob, WorkloadError,
-};
+pub use live::{profile_all_on, ProgramJob};
 pub use obs::{
     EventLog, FlightRecorder, NullObserver, ObsEvent, ObsKind, Sample, Sampler, SloScorecard,
     WorkloadObserver,
@@ -92,6 +93,5 @@ pub use serve::{
     ServeConfig, DEFAULT_MAX_FRAME,
 };
 pub use workload::{
-    run_workload, run_workload_observed, AdmissionError, JobReport, JobSpec, WorkloadConfig,
-    WorkloadReport,
+    run_workload, AdmissionError, JobReport, JobSpec, WorkloadConfig, WorkloadReport,
 };

@@ -1,5 +1,5 @@
-//! Live workloads: profile many compiled programs *concurrently* on one
-//! shared worker pool, then schedule them against the disk farm.
+//! Live capture: profile many compiled programs *concurrently* on one
+//! shared worker pool, ready to schedule against the disk farm.
 //!
 //! [`crate::capture::profile`] runs one program at a time, each on its own
 //! simulated machine with one OS thread per rank. That is fine for a
@@ -20,77 +20,28 @@ use ooc_core::CompiledProgram;
 use ooc_trace::TraceConfig;
 
 use crate::capture::JobProfile;
-use crate::workload::{run_workload, AdmissionError, JobSpec, WorkloadConfig, WorkloadReport};
 
-/// Failure of a live workload: either the batch was refused at admission,
-/// or a capture run failed on the pool.
-#[derive(Debug)]
-pub enum WorkloadError {
-    /// The batch was malformed; nothing ran.
-    Admission(AdmissionError),
-    /// A capture run failed (I/O, recovery exhaustion, hung run…).
-    Run(RunError),
-}
-
-impl std::fmt::Display for WorkloadError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            WorkloadError::Admission(e) => write!(f, "admission refused: {e}"),
-            WorkloadError::Run(e) => write!(f, "capture run failed: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for WorkloadError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            WorkloadError::Admission(e) => Some(e),
-            WorkloadError::Run(e) => Some(e),
-        }
-    }
-}
-
-impl From<AdmissionError> for WorkloadError {
-    fn from(e: AdmissionError) -> Self {
-        WorkloadError::Admission(e)
-    }
-}
-
-impl From<RunError> for WorkloadError {
-    fn from(e: RunError) -> Self {
-        WorkloadError::Run(e)
-    }
-}
-
-/// One program of a live workload: what to run, how, and its scheduling
-/// identity on the farm.
+/// One program of a live capture: what to run and how.
 #[derive(Clone)]
 pub struct ProgramJob {
     /// Display name (job type, bench label…).
     pub name: String,
     /// The compiled program (shared — many jobs typically run the same
-    /// binary with different tags or weights).
+    /// binary with different tags).
     pub compiled: Arc<CompiledProgram>,
     /// Execution configuration for the capture run. The job tag
     /// ([`RunConfig::job`]) gives the job its own fault/RNG streams; leave
     /// it 0 for bit-identity with an untagged solo run.
     pub cfg: RunConfig,
-    /// Submission time on the workload clock.
-    pub submit: f64,
-    /// Fair-share weight.
-    pub weight: f64,
 }
 
 impl ProgramJob {
-    /// A job with default configuration, submitted at time zero with unit
-    /// weight.
+    /// A job with default configuration.
     pub fn new(name: impl Into<String>, compiled: Arc<CompiledProgram>) -> ProgramJob {
         ProgramJob {
             name: name.into(),
             compiled,
             cfg: RunConfig::default(),
-            submit: 0.0,
-            weight: 1.0,
         }
     }
 
@@ -104,18 +55,6 @@ impl ProgramJob {
     /// [`RunConfig::job`]).
     pub fn with_job_tag(mut self, job: u32) -> ProgramJob {
         self.cfg.job = job;
-        self
-    }
-
-    /// Same job with a different submission time.
-    pub fn with_submit(mut self, submit: f64) -> ProgramJob {
-        self.submit = submit;
-        self
-    }
-
-    /// Same job with a different fair-share weight.
-    pub fn with_weight(mut self, weight: f64) -> ProgramJob {
-        self.weight = weight;
         self
     }
 }
@@ -138,7 +77,19 @@ fn capture_cfg(cfg: &RunConfig) -> RunConfig {
 /// All jobs are submitted before any is waited on, so the pool interleaves
 /// their ranks freely; profiles come back in job order and are bit-identical
 /// to sequential [`crate::capture::profile`] calls with the same configs.
+///
+/// Two jobs sharing a nonzero job tag would draw from the same fault/RNG
+/// streams, so such a batch is refused with [`RunError::Config`] before
+/// anything runs.
 pub fn profile_all_on(jobs: &[ProgramJob], pool: &WorkerPool) -> Result<Vec<JobProfile>, RunError> {
+    let mut tags: Vec<u32> = jobs.iter().map(|j| j.cfg.job).filter(|&t| t != 0).collect();
+    tags.sort_unstable();
+    if let Some(w) = tags.windows(2).find(|w| w[0] == w[1]) {
+        return Err(RunError::Config(format!(
+            "job tag {} is shared by more than one job",
+            w[0]
+        )));
+    }
     let started: Vec<StartedRun> = jobs
         .iter()
         .map(|job| {
@@ -168,75 +119,10 @@ pub fn profile_all_on(jobs: &[ProgramJob], pool: &WorkerPool) -> Result<Vec<JobP
         .collect()
 }
 
-/// Profile `jobs` concurrently on `pool` and run them as a workload against
-/// the shared disk farm.
-///
-/// The live, end-to-end counterpart of [`run_workload`]: instead of taking
-/// pre-captured [`JobSpec`]s it takes the programs themselves, captures the
-/// whole fleet concurrently on the fixed worker pool, and feeds the
-/// resulting profiles to the deterministic admission/replay machinery.
-pub fn run_workload_live(
-    jobs: &[ProgramJob],
-    cfg: &WorkloadConfig,
-    pool: &WorkerPool,
-) -> Result<WorkloadReport, WorkloadError> {
-    let specs = capture_specs(jobs, pool)?;
-    Ok(run_workload(&specs, cfg)?)
-}
-
-/// [`run_workload_live`] with the workload observatory attached: the replay
-/// publishes admissions, dispatches, and completions to `observer` and
-/// samples farm state every `sample_every` simulated seconds.
-///
-/// The report is bit-identical to [`run_workload_live`]'s — observation
-/// never perturbs the replay.
-pub fn run_workload_live_observed(
-    jobs: &[ProgramJob],
-    cfg: &WorkloadConfig,
-    pool: &WorkerPool,
-    sample_every: f64,
-    observer: &mut dyn crate::obs::WorkloadObserver,
-) -> Result<WorkloadReport, WorkloadError> {
-    let specs = capture_specs(jobs, pool)?;
-    Ok(crate::workload::run_workload_observed(
-        &specs,
-        cfg,
-        sample_every,
-        observer,
-    )?)
-}
-
-/// Capture the fleet concurrently and assemble the [`JobSpec`]s the
-/// admission machinery consumes.
-fn capture_specs(jobs: &[ProgramJob], pool: &WorkerPool) -> Result<Vec<JobSpec>, WorkloadError> {
-    // Refuse duplicate job tags up front: two jobs sharing a nonzero tag
-    // would draw from the same fault/RNG streams and their identities
-    // would collide in the report.
-    let mut tags: Vec<u32> = jobs.iter().map(|j| j.cfg.job).filter(|&t| t != 0).collect();
-    tags.sort_unstable();
-    if let Some(w) = tags.windows(2).find(|w| w[0] == w[1]) {
-        return Err(AdmissionError::DuplicateJobId {
-            job: format!("tag {}", w[0]),
-        }
-        .into());
-    }
-    let profiles = profile_all_on(jobs, pool)?;
-    Ok(jobs
-        .iter()
-        .zip(profiles)
-        .map(|(j, p)| {
-            JobSpec::new(j.name.clone(), p)
-                .with_submit(j.submit)
-                .with_weight(j.weight)
-        })
-        .collect())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::capture::profile;
-    use crate::policy::Policy;
     use ooc_core::{compile_source, CompilerOptions};
 
     fn small_program() -> Arc<CompiledProgram> {
@@ -257,31 +143,5 @@ mod tests {
             let solo = profile(&job.compiled, &job.cfg).unwrap();
             assert_eq!(got, &solo, "job {} profile diverged", job.name);
         }
-    }
-
-    #[test]
-    fn run_workload_live_matches_precaptured_run_workload() {
-        let compiled = small_program();
-        let pool = WorkerPool::new(2);
-        let jobs: Vec<ProgramJob> = (0..3)
-            .map(|i| {
-                ProgramJob::new(format!("j{i}"), Arc::clone(&compiled)).with_weight(1.0 + i as f64)
-            })
-            .collect();
-        let wcfg = WorkloadConfig {
-            policy: Policy::FairShare,
-            max_concurrent: 2,
-            ..WorkloadConfig::default()
-        };
-        let live = run_workload_live(&jobs, &wcfg, &pool).unwrap();
-        let specs: Vec<JobSpec> = jobs
-            .iter()
-            .map(|j| {
-                JobSpec::new(j.name.clone(), profile(&j.compiled, &j.cfg).unwrap())
-                    .with_weight(j.weight)
-            })
-            .collect();
-        let precaptured = run_workload(&specs, &wcfg).unwrap();
-        assert_eq!(live, precaptured);
     }
 }

