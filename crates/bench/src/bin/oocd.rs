@@ -1,7 +1,7 @@
 //! `oocd` — the multi-tenant I/O daemon, as a standalone process.
 //!
 //! Binds a Unix-domain or TCP socket, then serves the length-prefixed
-//! JSON protocol of [`ooc_sched::serve`]: many tenants submit
+//! JSON protocol of [`mod@ooc_sched::serve`]: many tenants submit
 //! virtual-time job profiles, `drain` seals the timeline and runs the
 //! session through the guarded runtime, subscribers stream the
 //! observatory, and `shutdown` stops the process. The daemon exits with

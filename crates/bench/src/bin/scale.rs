@@ -218,10 +218,6 @@ fn main() {
             other => panic!("unknown argument {other}"),
         }
     }
-    assert!(
-        dmsim::Engine::Pool(WORKERS) != dmsim::Engine::Threads,
-        "unreachable"
-    );
 
     let rank_ladder: &[usize] = if smoke {
         &[16, 64, 256]

@@ -128,11 +128,11 @@ fn parse_cli() -> Cli {
 fn main() {
     let cli = parse_cli();
     let options = CompilerOptions {
-        trace: TraceConfig::on(),
         cache_budget: cli.cache,
         ..CompilerOptions::default()
     };
     let (compiled, mut cfg) = kernel(&cli.kernel, &options);
+    cfg.trace = Some(TraceConfig::on());
     cfg.cache_budget = cli.cache;
     cfg.prefetch = cli.prefetch;
     cfg.fault = cli.chaos.map(FaultConfig::chaos);

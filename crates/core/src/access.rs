@@ -3,71 +3,17 @@
 //! "For each array used in the array assignment statement, for each
 //! dimension of the out-of-core array: use index variables to analyze
 //! access patterns; compute the I/O costs for stripmining using slabs along
-//! this dimension." This module enumerates the candidate stripminings; the
-//! cost estimator ([`crate::cost`]) scores each candidate's full loop nest
+//! this dimension." This module scores the candidate stripminings of an
+//! elementwise statement and tabulates the GAXPY analysis; the cost
+//! estimator ([`crate::cost`]) scores each GAXPY candidate's full loop nest
 //! and [`crate::reorg`] selects the cheapest.
 
 use serde::{Deserialize, Serialize};
 
-use ooc_array::{ArrayDesc, DimRange, Section, SlabPlan};
+use ooc_array::{ArrayDesc, DimRange, SlabPlan};
 
 use crate::hir::ElwStmt;
 use crate::plan::SlabStrategy;
-
-/// How a dimension of an array is traversed by the statement's loops.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum DimTraversal {
-    /// The whole extent is needed for every iteration of an enclosing
-    /// sequential loop (the temporal-reuse case: stripmining along this
-    /// dimension forces refetching).
-    ReusedPerIteration {
-        /// Number of refetches a slab suffers.
-        times: u64,
-    },
-    /// The dimension is swept exactly once over the statement.
-    StreamedOnce,
-    /// Only a single index of the dimension is touched per outer iteration
-    /// (e.g. the `j` column of B).
-    SingleIndex,
-}
-
-/// One candidate stripmining of the GAXPY statement.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct GaxpyCandidate {
-    /// The slab orientation for A (the dominant array).
-    pub strategy: SlabStrategy,
-    /// Traversal of A's dimensions under this orientation.
-    pub a_dims: Vec<DimTraversal>,
-    /// Why the orientation behaves the way it does.
-    pub rationale: String,
-}
-
-/// Enumerate the GAXPY candidates: stripmining A along columns (dimension
-/// 1, the naive extension of in-core compilation) versus along rows
-/// (dimension 0, which requires reorganizing A's file layout).
-pub fn gaxpy_candidates(n: usize) -> Vec<GaxpyCandidate> {
-    vec![
-        GaxpyCandidate {
-            strategy: SlabStrategy::ColumnSlab,
-            a_dims: vec![
-                DimTraversal::StreamedOnce,
-                DimTraversal::ReusedPerIteration { times: n as u64 },
-            ],
-            rationale: format!(
-                "column slabs: every column of C needs all of A's local columns, \
-                 so each slab of A is fetched once per result column ({n} times)"
-            ),
-        },
-        GaxpyCandidate {
-            strategy: SlabStrategy::RowSlab,
-            a_dims: vec![DimTraversal::StreamedOnce, DimTraversal::StreamedOnce],
-            rationale: "row slabs: a slab holds subcolumns of every local column, \
-                        enough to produce the matching subcolumn of every result \
-                        column, so A streams from disk exactly once"
-                .to_string(),
-        },
-    ]
-}
 
 /// Score stripmining an elementwise statement along each dimension: the
 /// request count for reading one slab of every referenced array (given the
@@ -124,12 +70,6 @@ pub fn best_elw_slab_dim(
         .min_by_key(|&(_, req)| req)
         .map(|(d, _)| d)
         .unwrap_or(0)
-}
-
-/// Iteration region restricted to a slab (helper shared by the executor and
-/// the estimator): intersect the local iteration section with the slab.
-pub fn region_in_slab(local_region: &Section, slab: &Section) -> Option<Section> {
-    local_region.intersect(slab)
 }
 
 /// One row of the Figure 14 analysis: the I/O cost of stripmining one array
@@ -197,20 +137,8 @@ pub fn dominant_array(rows: &[Fig14Row]) -> Option<&str> {
 mod tests {
     use super::*;
     use crate::hir::ElwExpr;
-    use ooc_array::{ArrayId, Distribution, FileLayout, Shape};
+    use ooc_array::{ArrayId, Distribution, FileLayout, Section, Shape};
     use pario::ElemKind;
-
-    #[test]
-    fn gaxpy_candidates_capture_reuse() {
-        let cands = gaxpy_candidates(1024);
-        assert_eq!(cands.len(), 2);
-        assert_eq!(cands[0].strategy, SlabStrategy::ColumnSlab);
-        assert_eq!(
-            cands[0].a_dims[1],
-            DimTraversal::ReusedPerIteration { times: 1024 }
-        );
-        assert_eq!(cands[1].a_dims[1], DimTraversal::StreamedOnce);
-    }
 
     fn desc(layout: FileLayout) -> ArrayDesc {
         ArrayDesc::new(
@@ -248,15 +176,5 @@ mod tests {
         let rhs = vec![desc(FileLayout::row_major(2))];
         let best = best_elw_slab_dim(&copy_stmt(), &lhs, &rhs, 0, 2);
         assert_eq!(best, 0);
-    }
-
-    #[test]
-    fn region_in_slab_intersects() {
-        let region = Section::new(vec![DimRange::new(1, 15), DimRange::new(1, 3)]);
-        let slab = Section::new(vec![DimRange::new(0, 16), DimRange::new(2, 4)]);
-        let r = region_in_slab(&region, &slab).unwrap();
-        assert_eq!(r.range(1), DimRange::new(2, 3));
-        let outside = Section::new(vec![DimRange::new(0, 16), DimRange::new(8, 12)]);
-        assert!(region_in_slab(&region, &outside).is_none());
     }
 }

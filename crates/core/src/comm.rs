@@ -12,7 +12,7 @@ use serde::{Deserialize, Serialize};
 
 use ooc_array::DimDist;
 
-use crate::hir::{ElwStmt, HirProgram, HirStmt};
+use crate::hir::{ElwStmt, HirProgram};
 use crate::plan::GhostSpec;
 
 /// The communication a statement requires.
@@ -35,17 +35,6 @@ pub enum CommRequirement {
     /// and volumes; statically every processor may send to every other,
     /// plus a reduction of partial results to the owners.
     Irregular,
-}
-
-/// Analyze one statement. Errors describe distribution mismatches the
-/// supported translations cannot handle.
-pub fn analyze_stmt(stmt: &HirStmt, prog: &HirProgram) -> Result<CommRequirement, String> {
-    match stmt {
-        HirStmt::Gaxpy { n, .. } => Ok(CommRequirement::GlobalSum { length: *n }),
-        HirStmt::Transpose { .. } => Ok(CommRequirement::Remap),
-        HirStmt::Elementwise(e) => analyze_elw(e, prog),
-        HirStmt::Spmv { .. } => Ok(CommRequirement::Irregular),
-    }
 }
 
 /// Ghost analysis for an elementwise statement: every referenced array must
@@ -196,31 +185,5 @@ mod tests {
         let s = stencil(vec![vec![0, 0]]);
         let err = analyze_elw(&s, &prog).unwrap_err();
         assert!(err.contains("distributed differently"));
-    }
-
-    #[test]
-    fn gaxpy_needs_global_sum() {
-        let prog = prog_two_arrays(4, true);
-        let g = HirStmt::Gaxpy {
-            a: "a".into(),
-            b: "b".into(),
-            c: "c".into(),
-            temp: "t".into(),
-            n: 64,
-        };
-        assert_eq!(
-            analyze_stmt(&g, &prog).unwrap(),
-            CommRequirement::GlobalSum { length: 64 }
-        );
-    }
-
-    #[test]
-    fn transpose_is_a_remap() {
-        let prog = prog_two_arrays(4, true);
-        let t = HirStmt::Transpose {
-            src: "u".into(),
-            dst: "v".into(),
-        };
-        assert_eq!(analyze_stmt(&t, &prog).unwrap(), CommRequirement::Remap);
     }
 }

@@ -49,6 +49,15 @@ fn clamp_split(strategy: SlabStrategy, n: usize, p: usize, ma: usize, mb: usize)
 }
 
 /// Split `elems` of memory into `(slab_a, slab_b)` thicknesses.
+///
+/// When the target runs with a slab cache of `cache_budget` bytes, the
+/// [`MemoryPolicy::Search`] grid is scored by *replaying* each candidate
+/// split through the reuse predictor ([`crate::reuse::gaxpy_cached_totals`])
+/// instead of the closed-form request counts — cached executions reward
+/// splits the uncached formulas undervalue (e.g. an A slab that fits
+/// residently). The other policies ignore the budget. The replay walks the
+/// full access sequence per grid point, so a cached search is meant for
+/// compile-time use over moderate problem sizes, not inner loops.
 pub fn split_gaxpy_budget(
     strategy: SlabStrategy,
     n: usize,
@@ -56,6 +65,7 @@ pub fn split_gaxpy_budget(
     elems: usize,
     policy: MemoryPolicy,
     model: &CostModel,
+    cache_budget: Option<usize>,
 ) -> (usize, usize) {
     let clamp = |ma: usize, mb: usize| clamp_split(strategy, n, p, ma, mb);
     match policy {
@@ -73,7 +83,10 @@ pub fn split_gaxpy_budget(
             for pct in (5..=95).step_by(5) {
                 let ma = elems * pct / 100;
                 let (sa, sb) = clamp(ma, elems - ma);
-                let time = time_estimate(strategy, n, p, sa, sb, model);
+                let time = match cache_budget {
+                    Some(budget) => cached_time_estimate(strategy, n, p, sa, sb, budget, model),
+                    None => time_estimate(strategy, n, p, sa, sb, model),
+                };
                 if best.map(|(t, _)| time < t).unwrap_or(true) {
                     best = Some((time, (sa, sb)));
                 }
@@ -81,39 +94,6 @@ pub fn split_gaxpy_budget(
             best.expect("non-empty search").1
         }
     }
-}
-
-/// Like [`split_gaxpy_budget`], but when the target runs with a slab cache
-/// of `cache_budget` bytes, the [`MemoryPolicy::Search`] grid is scored by
-/// *replaying* each candidate split through the reuse predictor
-/// ([`crate::reuse::gaxpy_cached_totals`]) instead of the closed-form
-/// request counts — cached executions reward splits the uncached formulas
-/// undervalue (e.g. an A slab that fits residently). Other policies, and an
-/// uncached target, delegate unchanged. The replay walks the full access
-/// sequence per grid point, so this is meant for compile-time search over
-/// moderate problem sizes, not inner loops.
-pub fn split_gaxpy_budget_with_cache(
-    strategy: SlabStrategy,
-    n: usize,
-    p: usize,
-    elems: usize,
-    policy: MemoryPolicy,
-    model: &CostModel,
-    cache_budget: Option<usize>,
-) -> (usize, usize) {
-    let (Some(budget), MemoryPolicy::Search) = (cache_budget, policy) else {
-        return split_gaxpy_budget(strategy, n, p, elems, policy, model);
-    };
-    let mut best: Option<(f64, (usize, usize))> = None;
-    for pct in (5..=95).step_by(5) {
-        let ma = elems * pct / 100;
-        let (sa, sb) = clamp_split(strategy, n, p, ma, elems - ma);
-        let time = cached_time_estimate(strategy, n, p, sa, sb, budget, model);
-        if best.map(|(t, _)| time < t).unwrap_or(true) {
-            best = Some((time, (sa, sb)));
-        }
-    }
-    best.expect("non-empty search").1
 }
 
 /// Modeled I/O time of a cached execution of the canonical plan at this
@@ -200,7 +180,6 @@ fn byte_estimate(strategy: SlabStrategy, n: usize, p: usize, sa: usize, sb: usiz
         SlabStrategy::ColumnSlab => n64 * ocla + ocla,
         SlabStrategy::RowSlab => {
             let ka = n64.div_ceil(sa as u64);
-            let _ = sb;
             let b_streams = if sb >= n { 1 } else { ka };
             ocla + b_streams * ocla
         }
@@ -239,6 +218,7 @@ mod tests {
             elems,
             MemoryPolicy::EqualSplit,
             &CostModel::delta(P),
+            None,
         );
         // epi are both 128 for 2K/16: equal thicknesses.
         assert_eq!(sa, sb);
@@ -256,6 +236,7 @@ mod tests {
             elems,
             MemoryPolicy::AccessWeighted,
             &CostModel::delta(P),
+            None,
         );
         let epi_a = N;
         let epi_b = N / P;
@@ -278,6 +259,7 @@ mod tests {
                 elems,
                 MemoryPolicy::EqualSplit,
                 &CostModel::delta(P),
+                None,
             );
             let (oa, ob) = split_gaxpy_budget(
                 strategy,
@@ -286,6 +268,7 @@ mod tests {
                 elems,
                 MemoryPolicy::Search,
                 &CostModel::delta(P),
+                None,
             );
             let m = CostModel::delta(P);
             assert!(
@@ -305,8 +288,15 @@ mod tests {
         ] {
             for strategy in [SlabStrategy::ColumnSlab, SlabStrategy::RowSlab] {
                 for elems in [16usize, 1 << 10, 1 << 24] {
-                    let (sa, sb) =
-                        split_gaxpy_budget(strategy, 64, 4, elems, policy, &CostModel::delta(4));
+                    let (sa, sb) = split_gaxpy_budget(
+                        strategy,
+                        64,
+                        4,
+                        elems,
+                        policy,
+                        &CostModel::delta(4),
+                        None,
+                    );
                     assert!(sa >= 1 && sa <= a_slab_extent(strategy, 64, 4));
                     assert!((1..=64).contains(&sb));
                 }
@@ -315,17 +305,13 @@ mod tests {
     }
 
     #[test]
-    fn cache_aware_search_delegates_without_a_cache() {
+    fn only_search_reads_the_cache_budget() {
         let m = CostModel::delta(4);
-        for policy in [
-            MemoryPolicy::EqualSplit,
-            MemoryPolicy::AccessWeighted,
-            MemoryPolicy::Search,
-        ] {
+        for policy in [MemoryPolicy::EqualSplit, MemoryPolicy::AccessWeighted] {
             for strategy in [SlabStrategy::ColumnSlab, SlabStrategy::RowSlab] {
-                let plain = split_gaxpy_budget(strategy, 64, 4, 1 << 10, policy, &m);
+                let plain = split_gaxpy_budget(strategy, 64, 4, 1 << 10, policy, &m, None);
                 let cached =
-                    split_gaxpy_budget_with_cache(strategy, 64, 4, 1 << 10, policy, &m, None);
+                    split_gaxpy_budget(strategy, 64, 4, 1 << 10, policy, &m, Some(1 << 14));
                 assert_eq!(plain, cached, "{policy:?} {strategy:?}");
             }
         }
@@ -339,8 +325,9 @@ mod tests {
         let budget = 1 << 14;
         for strategy in [SlabStrategy::ColumnSlab, SlabStrategy::RowSlab] {
             for elems in [256usize, 1 << 11] {
-                let (ua, ub) = split_gaxpy_budget(strategy, n, p, elems, MemoryPolicy::Search, &m);
-                let (ca, cb) = split_gaxpy_budget_with_cache(
+                let (ua, ub) =
+                    split_gaxpy_budget(strategy, n, p, elems, MemoryPolicy::Search, &m, None);
+                let (ca, cb) = split_gaxpy_budget(
                     strategy,
                     n,
                     p,
@@ -373,6 +360,7 @@ mod tests {
             1 << 18,
             MemoryPolicy::AccessWeighted,
             &CostModel::delta(P),
+            None,
         );
         // epi is equal for both at 2K/16, so thickness compares memory.
         assert!(sa >= sb, "A slab {sa} must not be below B slab {sb}");

@@ -20,87 +20,35 @@ pub fn local_iteration_space(
     local_section_of_global(dist, rank, region)
 }
 
-/// Rank of the processor that owns (and therefore stores) global column `j`
-/// of a column-block-distributed matrix — the paper's
-/// `global_to_processor(j)`.
-pub fn owner_of_column(dist: &Distribution, j: usize) -> usize {
-    dist.owner(&[0, j])
-}
-
-/// Local column index of global column `j` on its owner — the paper's
-/// `global_to_local(j)`.
-pub fn local_column(dist: &Distribution, j: usize) -> usize {
-    dist.local_index(1, j)
-}
-
-/// Load-balance summary of a partitioning: iterations per processor.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PartitionReport {
-    /// Iterations assigned to each rank.
-    pub per_rank: Vec<usize>,
-}
-
-impl PartitionReport {
-    /// Compute the per-rank iteration counts for `region` under `dist`.
-    pub fn compute(dist: &Distribution, region: &Section) -> Self {
-        let per_rank = (0..dist.nprocs())
-            .map(|r| {
-                local_iteration_space(dist, r, region)
-                    .map(|s| s.len())
-                    .unwrap_or(0)
-            })
-            .collect();
-        PartitionReport { per_rank }
-    }
-
-    /// Total iterations (must equal the region size).
-    pub fn total(&self) -> usize {
-        self.per_rank.iter().sum()
-    }
-
-    /// Ratio of the most-loaded to the average processor (1.0 = perfect).
-    pub fn imbalance(&self) -> f64 {
-        let max = *self.per_rank.iter().max().unwrap_or(&0) as f64;
-        let avg = self.total() as f64 / self.per_rank.len().max(1) as f64;
-        if avg == 0.0 {
-            1.0
-        } else {
-            max / avg
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use ooc_array::{DimRange, Distribution, Shape};
 
-    #[test]
-    fn owner_computes_matches_distribution() {
-        let d = Distribution::column_block(Shape::matrix(8, 8), 4);
-        assert_eq!(owner_of_column(&d, 0), 0);
-        assert_eq!(owner_of_column(&d, 3), 1);
-        assert_eq!(owner_of_column(&d, 7), 3);
-        assert_eq!(local_column(&d, 5), 1);
+    /// Iterations each rank executes for `region` under `d`.
+    fn per_rank(d: &Distribution, region: &Section) -> Vec<usize> {
+        (0..d.nprocs())
+            .map(|r| local_iteration_space(d, r, region).map_or(0, |s| s.len()))
+            .collect()
     }
 
     #[test]
     fn partition_covers_region_exactly() {
         let d = Distribution::column_block(Shape::matrix(8, 8), 4);
         let region = Section::new(vec![DimRange::new(1, 7), DimRange::new(1, 7)]);
-        let rep = PartitionReport::compute(&d, &region);
-        assert_eq!(rep.total(), region.len());
+        let counts = per_rank(&d, &region);
+        assert_eq!(counts.iter().sum::<usize>(), region.len());
         // Columns 1..7: procs own 2 cols each -> counts 6, 12, 12, 6.
-        assert_eq!(rep.per_rank, vec![6, 12, 12, 6]);
-        assert!(rep.imbalance() > 1.0);
+        assert_eq!(counts, vec![6, 12, 12, 6]);
     }
 
     #[test]
     fn full_region_is_balanced() {
         let d = Distribution::column_block(Shape::matrix(8, 8), 4);
-        let rep = PartitionReport::compute(&d, &Section::full(&Shape::matrix(8, 8)));
-        assert_eq!(rep.per_rank, vec![16; 4]);
-        assert!((rep.imbalance() - 1.0).abs() < 1e-12);
+        assert_eq!(
+            per_rank(&d, &Section::full(&Shape::matrix(8, 8))),
+            vec![16; 4]
+        );
     }
 
     #[test]

@@ -75,10 +75,6 @@ pub struct CompilerOptions {
     /// sequence through a predictor-mode cache so estimate == measurement
     /// still holds under caching.
     pub cache_budget: Option<usize>,
-    /// Simulated-clock tracing configuration for the compiled program's
-    /// runs. Off by default; carried into `CompiledProgram` so the executor
-    /// builds its machine with tracing already configured.
-    pub trace: ooc_trace::TraceConfig,
     /// Force one I/O access method for every remap-style access (pre-
     /// statement redistributions and transposes) instead of per-access
     /// cost-based selection (`None`, the default).
@@ -90,12 +86,6 @@ pub struct CompilerOptions {
     /// [`dmsim::CostModel::contended`]; `None` (the default, and any load
     /// with zero competitors) is bit-identical to the uncontended compiler.
     pub background: Option<dmsim::BackgroundLoad>,
-    /// Execution engine for the compiled program's runs: OS threads (the
-    /// default) or a fixed worker pool hosting the ranks as cooperative
-    /// tasks. Purely a hosting choice — reports are bit-identical either
-    /// way — but `Pool` is the only way to run hundreds of ranks or jobs.
-    /// Carried into [`CompiledProgram`] like `trace`.
-    pub engine: dmsim::Engine,
 }
 
 impl Default for CompilerOptions {
@@ -107,10 +97,8 @@ impl Default for CompilerOptions {
             reorganize_storage: true,
             elw_slab_elems: 1 << 20,
             cache_budget: None,
-            trace: ooc_trace::TraceConfig::default(),
             io_method: None,
             background: None,
-            engine: dmsim::Engine::default(),
         }
     }
 }
@@ -167,15 +155,6 @@ pub struct CompiledProgram {
     pub io_choices: Vec<Vec<crate::reorg::IoMethodChoice>>,
     /// The cost model used.
     pub model: CostModel,
-    /// Tracing configuration requested at compile time (threaded from
-    /// [`CompilerOptions::trace`] to the executor's machine).
-    pub trace: ooc_trace::TraceConfig,
-    /// Execution engine requested at compile time (threaded from
-    /// [`CompilerOptions::engine`] to the executor's machine). Defaults to
-    /// [`dmsim::Engine::Threads`] on programs serialized before the field
-    /// existed.
-    #[serde(default)]
-    pub engine: dmsim::Engine,
 }
 
 impl CompiledProgram {
@@ -728,8 +707,6 @@ pub fn compile_hir(
         alternatives,
         io_choices,
         model,
-        trace: options.trace,
-        engine: options.engine,
     })
 }
 

@@ -83,7 +83,7 @@ pub fn size_gaxpy(
             (a, b)
         }
         SlabSizing::Budget { elems, policy } => {
-            crate::memory::split_gaxpy_budget(strategy, n, p, elems, policy, model)
+            crate::memory::split_gaxpy_budget(strategy, n, p, elems, policy, model, None)
         }
     };
     // C's write buffer: matches A's thickness in the column version (bounded

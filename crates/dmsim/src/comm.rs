@@ -19,9 +19,10 @@
 //!
 //! Blocking works for both execution engines: an OS-thread rank waits on
 //! the mailbox condvar, a pooled rank registers its task id in the mailbox
-//! and parks its coroutine ([`crate::pool`]). Senders and exiting ranks
-//! wake whichever kind of waiter they find. Registration happens under the
-//! same lock as the queue scan, so wakeups cannot be lost.
+//! and parks its coroutine on the [`crate::WorkerPool`]. Senders and
+//! exiting ranks wake whichever kind of waiter they find. Registration
+//! happens under the same lock as the queue scan, so wakeups cannot be
+//! lost.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};

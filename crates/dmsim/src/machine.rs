@@ -68,13 +68,6 @@ impl MachineConfig {
         self
     }
 
-    /// Tag the machine with a workload job identity (isolates fault/RNG
-    /// streams per (job, rank) pair).
-    pub fn with_job(mut self, job: u32) -> Self {
-        self.job = job;
-        self
-    }
-
     /// Select the execution engine (results are engine-invariant).
     pub fn with_engine(mut self, engine: Engine) -> Self {
         self.engine = engine;
@@ -120,11 +113,6 @@ impl Machine {
     pub fn with_fault_injection(mut self, cfg: FaultConfig) -> Self {
         self.fault = Some(cfg);
         self
-    }
-
-    /// The fault configuration, when injection is enabled.
-    pub fn fault_config(&self) -> Option<&FaultConfig> {
-        self.fault.as_ref()
     }
 
     /// The machine's configuration.

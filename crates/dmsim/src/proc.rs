@@ -126,12 +126,6 @@ impl ProcCtx {
         self.nprocs
     }
 
-    /// The machine's cost model.
-    #[inline]
-    pub fn cost_model(&self) -> &CostModel {
-        &self.cost
-    }
-
     /// Current local simulated time.
     #[inline]
     pub fn now(&self) -> SimTime {

@@ -16,7 +16,7 @@
 use std::collections::BTreeMap;
 
 use dmsim::Trace;
-use ooc_core::{CompiledProgram, ExecPlan};
+use ooc_core::CompiledProgram;
 use ooc_trace::{Category, EventKind};
 
 /// One compared counter.
@@ -253,21 +253,4 @@ fn push_pair(
         estimated: est_bytes,
         measured: meas_bytes,
     });
-}
-
-/// Convenience for whole-program checks: a statement index is not needed
-/// when asserting the global baseline.
-pub fn phase_labels(compiled: &CompiledProgram) -> Vec<String> {
-    compiled
-        .plans
-        .iter()
-        .enumerate()
-        .map(|(i, p)| crate::exec::phase_label(i, p))
-        .collect()
-}
-
-/// Re-export of the label scheme for one statement (stable API for report
-/// consumers).
-pub fn statement_phase_label(i: usize, plan: &ExecPlan) -> String {
-    crate::exec::phase_label(i, plan)
 }

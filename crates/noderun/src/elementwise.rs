@@ -76,12 +76,7 @@ fn compile_expr(e: &ElwExpr, plan: &ElwPlan) -> CExpr {
 /// With `prefetch`, each stage's slab reads overlap the previous stage's
 /// deferred computation (stencil stages have no intervening collective, so
 /// the overlap is effective — unlike the GAXPY row version).
-pub fn execute(ctx: &ProcCtx, env: &mut OocEnv, plan: &ElwPlan) -> Result<usize, OocError> {
-    execute_prefetched(ctx, env, plan, false)
-}
-
-/// See [`execute`]; `prefetch` selects the software-pipelined variant.
-pub fn execute_prefetched(
+pub fn execute(
     ctx: &ProcCtx,
     env: &mut OocEnv,
     plan: &ElwPlan,
@@ -421,7 +416,7 @@ mod tests {
             // v starts as a copy of u so the untouched boundary matches the
             // reference.
             env.load_global(&plan.lhs, &init_u).unwrap();
-            execute(ctx, &mut env, &plan).unwrap();
+            execute(ctx, &mut env, &plan, false).unwrap();
             env.read_local_all(&plan.lhs).unwrap()
         });
         let locals: Vec<&[f32]> = results.iter().map(|v| v.as_slice()).collect();
@@ -454,7 +449,7 @@ mod tests {
             env.alloc(&plan.rhs_arrays[0]).unwrap();
             env.alloc(&plan.lhs).unwrap();
             env.load_global(&plan.rhs_arrays[0], &init_u).unwrap();
-            execute(ctx, &mut env, &plan).unwrap();
+            execute(ctx, &mut env, &plan, false).unwrap();
         });
         // Rank 1 (middle) exchanges with both neighbors: 2 sends.
         assert_eq!(report.per_proc()[1].stats.msgs_sent, 2);
@@ -490,7 +485,7 @@ mod tests {
             env.alloc(&u).unwrap();
             env.alloc(&v).unwrap();
             env.load_global(&u, &init_u).unwrap();
-            execute(ctx, &mut env, &plan).unwrap();
+            execute(ctx, &mut env, &plan, false).unwrap();
             env.read_local_all(&v).unwrap()
         });
         assert_eq!(report.totals().msgs_sent, 0);
@@ -556,7 +551,7 @@ mod tests {
                 env.load_global(&u, &init_u).unwrap();
                 env.load_global(&w, &|g: &[usize]| (g[0] + 2 * g[1]) as f32)
                     .unwrap();
-                execute(ctx, &mut env, plan).unwrap();
+                execute(ctx, &mut env, plan, false).unwrap();
                 env.read_local_all(&v).unwrap()
             });
             let locals: Vec<&[f32]> = results.iter().map(|x| x.as_slice()).collect();
@@ -578,7 +573,7 @@ mod tests {
                 env.alloc(&plan.rhs_arrays[0]).unwrap();
                 env.alloc(&plan.lhs).unwrap();
                 env.load_global(&plan.rhs_arrays[0], &init_u).unwrap();
-                execute_prefetched(ctx, &mut env, &plan, prefetch).unwrap();
+                execute(ctx, &mut env, &plan, prefetch).unwrap();
             })
         };
         let base = run_with(false);
@@ -608,7 +603,7 @@ mod tests {
                 let mut env = OocEnv::in_memory(ctx.rank());
                 env.alloc(&plan.rhs_arrays[0]).unwrap();
                 env.alloc(&plan.lhs).unwrap();
-                execute(ctx, &mut env, &plan).unwrap();
+                execute(ctx, &mut env, &plan, false).unwrap();
             });
             let s0 = report.per_proc()[0].stats;
             assert_eq!(

@@ -39,9 +39,6 @@ pub struct RunConfig {
     /// Overlap slab fetches with the previous slab's computation (software
     /// pipelining). Leaves the I/O metrics untouched; only time shrinks.
     pub prefetch: bool,
-    /// Machine override; defaults to the compiled program's cost model on
-    /// its processor count.
-    pub machine: Option<MachineConfig>,
     /// Initial values per array (missing arrays start zeroed). Loading is
     /// not charged — the paper amortizes initial distribution.
     pub init: HashMap<String, InitFn>,
@@ -71,11 +68,7 @@ pub struct RunConfig {
     /// slab boundaries, and a recovery re-run resumes from the agreed
     /// watermark instead of from scratch.
     pub checkpoint_dir: Option<std::path::PathBuf>,
-    /// Tracing override. `None` follows the compiled program's
-    /// [`ooc_core::CompilerOptions::trace`]; `Some` replaces it (e.g. to
-    /// trace a program compiled without tracing, or to silence one).
-    /// Ignored when [`RunConfig::machine`] is set — an explicit machine
-    /// carries its own trace configuration.
+    /// Simulated-clock tracing for this run (`None` = off, the default).
     pub trace: Option<dmsim::TraceConfig>,
     /// Override the compiler's per-access I/O method selection for every
     /// remap-style access (pre-statement redistributions, transposes).
@@ -88,15 +81,14 @@ pub struct RunConfig {
     /// fault/RNG streams per (job, rank) and labels its requests for the
     /// `ooc-sched` disk-farm scheduler.
     pub job: u32,
-    /// Execution engine override. `None` follows the compiled program's
-    /// [`ooc_core::CompilerOptions::engine`]; `Some` replaces it. Ignored
-    /// when [`RunConfig::machine`] is set — an explicit machine carries its
-    /// own engine. Reports are bit-identical across engines.
+    /// Execution engine: OS threads (`None`, the default) or a transient
+    /// worker pool hosting the ranks as cooperative tasks. Purely a hosting
+    /// choice — reports are bit-identical across engines.
     pub engine: Option<Engine>,
     /// Host the ranks on this existing worker pool instead of building a
     /// transient one per run. Implies the pooled engine regardless of
-    /// `engine`/`machine`; required for running many programs concurrently
-    /// on one fixed set of OS threads (see [`start`]).
+    /// `engine`; required for running many programs concurrently on one
+    /// fixed set of OS threads (see [`start`]).
     pub pool: Option<WorkerPool>,
 }
 
@@ -167,27 +159,12 @@ pub(crate) struct RankResult {
 }
 
 /// Build and validate the machine configuration for one run of `compiled`
-/// under `cfg` (engine resolution: `cfg.machine` > `cfg.engine` >
-/// `compiled.engine`).
+/// under `cfg`.
 fn machine_config(compiled: &CompiledProgram, cfg: &RunConfig) -> Result<MachineConfig, RunError> {
-    let p = compiled.nprocs();
-    let mut machine_cfg = cfg.machine.clone().unwrap_or_else(|| {
-        MachineConfig::new(p, compiled.model.clone())
-            .with_trace(cfg.trace.unwrap_or(compiled.trace))
-            .with_engine(compiled.engine)
-    });
-    if let Some(engine) = cfg.engine {
-        machine_cfg.engine = engine;
-    }
-    if cfg.job != 0 {
-        machine_cfg.job = cfg.job;
-    }
-    if machine_cfg.nprocs != p {
-        return Err(RunError::Config(format!(
-            "machine has {} processors but the program was compiled for {p}",
-            machine_cfg.nprocs
-        )));
-    }
+    let mut machine_cfg = MachineConfig::new(compiled.nprocs(), compiled.model.clone())
+        .with_trace(cfg.trace.unwrap_or_default())
+        .with_engine(cfg.engine.unwrap_or_default());
+    machine_cfg.job = cfg.job;
     for name in &cfg.collect {
         if compiled.hir.array(name).is_none() {
             return Err(RunError::Config(format!(
@@ -578,7 +555,7 @@ fn execute_rank(
                     model: Some(&compiled.model),
                     cache_budget: cfg.cache_budget,
                 };
-                crate::gaxpy::execute_recoverable(ctx, &mut env, g, cfg.prefetch, ctx, &opts)?
+                crate::gaxpy::execute(ctx, &mut env, g, cfg.prefetch, ctx, &opts)?
             }
             ExecPlan::Elementwise(e) => {
                 let plan;
@@ -599,7 +576,7 @@ fn execute_rank(
                     }
                     None => e,
                 };
-                crate::elementwise::execute_prefetched(ctx, &mut env, e, cfg.prefetch)?
+                crate::elementwise::execute(ctx, &mut env, e, cfg.prefetch)?
             }
             ExecPlan::Transpose(t) => {
                 let plan;
@@ -678,17 +655,6 @@ mod tests {
         let compiled = compile_source(hpf::GAXPY_SOURCE, &CompilerOptions::default()).unwrap();
         let cfg = RunConfig {
             collect: vec!["nope".into()],
-            ..RunConfig::default()
-        };
-        let err = run(&compiled, &cfg).unwrap_err();
-        assert!(matches!(err, RunError::Config(_)));
-    }
-
-    #[test]
-    fn mismatched_machine_is_a_config_error() {
-        let compiled = compile_source(hpf::GAXPY_SOURCE, &CompilerOptions::default()).unwrap();
-        let cfg = RunConfig {
-            machine: Some(MachineConfig::free(2)), // program wants 4
             ..RunConfig::default()
         };
         let err = run(&compiled, &cfg).unwrap_err();

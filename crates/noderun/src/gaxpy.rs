@@ -38,32 +38,12 @@ pub struct RecoveryOpts<'a> {
 /// With `prefetch` enabled the runtime overlaps each slab fetch with the
 /// still-pending computation of the previous slab (software pipelining):
 /// the I/O *counts* are identical, only the modeled time shrinks.
+/// Non-prefetched I/O is charged through `charge` — `ctx` itself, or the
+/// seam [`crate::trace::TracingCharge`] uses to record the operation
+/// sequence (prefetched fetches charge through the context's overlapped
+/// path, so trace with `prefetch = false`). `opts` turns on checkpointing
+/// and degraded-disk re-planning.
 pub fn execute(
-    ctx: &ProcCtx,
-    env: &mut OocEnv,
-    plan: &GaxpyPlan,
-    prefetch: bool,
-) -> Result<usize, OocError> {
-    execute_with_charge(ctx, env, plan, prefetch, ctx)
-}
-
-/// Like [`execute`], but non-prefetched I/O is charged through `charge` —
-/// the seam [`crate::trace::TracingCharge`] uses to record the operation
-/// sequence. (Prefetched fetches charge through the context's overlapped
-/// path and are not routed through `charge`; trace with `prefetch = false`.)
-pub fn execute_with_charge(
-    ctx: &ProcCtx,
-    env: &mut OocEnv,
-    plan: &GaxpyPlan,
-    prefetch: bool,
-    charge: &dyn pario::IoCharge,
-) -> Result<usize, OocError> {
-    execute_recoverable(ctx, env, plan, prefetch, charge, &RecoveryOpts::default())
-}
-
-/// Full-featured entry point: like [`execute_with_charge`] plus optional
-/// checkpointing and degraded-disk re-planning per [`RecoveryOpts`].
-pub fn execute_recoverable(
     ctx: &ProcCtx,
     env: &mut OocEnv,
     plan: &GaxpyPlan,
@@ -115,7 +95,7 @@ fn replan_degraded(
         return None;
     }
     let degraded = model.degrade_io(env.degrade_factor());
-    Some(ooc_core::memory::split_gaxpy_budget_with_cache(
+    Some(ooc_core::memory::split_gaxpy_budget(
         plan.strategy,
         plan.n,
         plan.nprocs,
@@ -524,7 +504,7 @@ mod tests {
             env.alloc(&plan.c).unwrap();
             env.load_global(&plan.a, &fa).unwrap();
             env.load_global(&plan.b, &fb).unwrap();
-            execute(ctx, &mut env, plan, false).unwrap();
+            execute(ctx, &mut env, plan, false, ctx, &RecoveryOpts::default()).unwrap();
             env.read_local_all(&plan.c).unwrap()
         });
         let locals: Vec<&[f32]> = results.iter().map(|v| v.as_slice()).collect();
@@ -595,7 +575,7 @@ mod tests {
             // Cache goes live after the uncharged setup, cold — exactly
             // what the reuse predictor models.
             env.enable_cache(budget);
-            execute(ctx, &mut env, plan, false).unwrap();
+            execute(ctx, &mut env, plan, false, ctx, &RecoveryOpts::default()).unwrap();
             env.flush_cache(ctx).unwrap();
             env.read_local_all(&plan.c).unwrap()
         });
@@ -712,7 +692,15 @@ mod tests {
                 env.alloc(&plan.c).unwrap();
                 env.load_global(&plan.a, &fa).unwrap();
                 env.load_global(&plan.b, &fb).unwrap();
-                execute(ctx, &mut env, &plan, prefetch).unwrap();
+                execute(
+                    ctx,
+                    &mut env,
+                    &plan,
+                    prefetch,
+                    ctx,
+                    &RecoveryOpts::default(),
+                )
+                .unwrap();
             })
         };
         let base = run_with(false);
@@ -743,7 +731,7 @@ mod tests {
                 env.alloc(&plan.c).unwrap();
                 env.load_global(&plan.a, &fa).unwrap();
                 env.load_global(&plan.b, &fb).unwrap();
-                execute(ctx, &mut env, &plan, true).unwrap();
+                execute(ctx, &mut env, &plan, true, ctx, &RecoveryOpts::default()).unwrap();
                 env.read_local_all(&plan.c).unwrap()
             });
             let locals: Vec<&[f32]> = results.iter().map(|v| v.as_slice()).collect();
@@ -762,7 +750,7 @@ mod tests {
                 env.alloc(&plan.a).unwrap();
                 env.alloc(&plan.b).unwrap();
                 env.alloc(&plan.c).unwrap();
-                execute(ctx, &mut env, &plan, false).unwrap()
+                execute(ctx, &mut env, &plan, false, ctx, &RecoveryOpts::default()).unwrap()
             });
             let budget = plan.memory_elems();
             for peak in peaks {

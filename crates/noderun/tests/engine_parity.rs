@@ -18,12 +18,11 @@ fn fb(g: &[usize]) -> f32 {
 }
 
 fn gaxpy() -> (CompiledProgram, RunConfig) {
-    let options = CompilerOptions {
-        trace: TraceConfig::detailed(),
-        ..CompilerOptions::default()
+    let compiled = compile_source(hpf::GAXPY_SOURCE, &CompilerOptions::default()).unwrap();
+    let mut cfg = RunConfig {
+        trace: Some(TraceConfig::detailed()),
+        ..RunConfig::default()
     };
-    let compiled = compile_source(hpf::GAXPY_SOURCE, &options).unwrap();
-    let mut cfg = RunConfig::default();
     cfg.init.insert("a".into(), init_fn(fa));
     cfg.init.insert("b".into(), init_fn(fb));
     cfg.collect.push("c".into());
@@ -48,12 +47,11 @@ fn f_x(g: &[usize]) -> f32 {
 }
 
 fn spmv() -> (CompiledProgram, RunConfig) {
-    let options = CompilerOptions {
-        trace: TraceConfig::detailed(),
-        ..CompilerOptions::default()
+    let compiled = compile_source(hpf::SPMV_SOURCE, &CompilerOptions::default()).unwrap();
+    let mut cfg = RunConfig {
+        trace: Some(TraceConfig::detailed()),
+        ..RunConfig::default()
     };
-    let compiled = compile_source(hpf::SPMV_SOURCE, &options).unwrap();
-    let mut cfg = RunConfig::default();
     cfg.init.insert("rowptr".into(), init_fn(f_rowptr));
     cfg.init.insert("colidx".into(), init_fn(f_colidx));
     cfg.init.insert("vals".into(), init_fn(f_vals));

@@ -59,7 +59,7 @@ fn every_rank_matches_its_own_nest_even_when_p_does_not_divide_n() {
             env.alloc(&plan.c).unwrap();
             env.load_global(&plan.a, &fa).unwrap();
             env.load_global(&plan.b, &fb).unwrap();
-            noderun::gaxpy::execute(ctx, &mut env, &plan, false).unwrap();
+            noderun::gaxpy::execute(ctx, &mut env, &plan, false, ctx, &Default::default()).unwrap();
             env.read_local_all(&plan.c).unwrap()
         });
 

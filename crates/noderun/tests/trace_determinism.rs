@@ -82,24 +82,19 @@ fn jacobi(options: &CompilerOptions) -> (CompiledProgram, RunConfig) {
     (compiled, cfg)
 }
 
-fn traced_options() -> CompilerOptions {
-    CompilerOptions {
-        trace: TraceConfig::on(),
-        ..CompilerOptions::default()
-    }
-}
-
+/// Run `cfg` with tracing on and return the trace.
 fn run_trace(compiled: &CompiledProgram, cfg: &RunConfig) -> Trace {
-    let mut outcome = run(compiled, cfg).unwrap();
-    outcome
-        .report
-        .take_trace()
-        .expect("tracing was enabled at compile time")
+    let cfg = RunConfig {
+        trace: Some(TraceConfig::on()),
+        ..cfg.clone()
+    };
+    let mut outcome = run(compiled, &cfg).unwrap();
+    outcome.report.take_trace().expect("tracing was enabled")
 }
 
 #[test]
 fn chaos_trace_is_byte_identical_across_runs() {
-    let options = traced_options();
+    let options = CompilerOptions::default();
     let (compiled, base_cfg) = gaxpy(&options);
     let once = || {
         let mut cfg = base_cfg.clone();
@@ -126,7 +121,7 @@ fn chaos_trace_is_byte_identical_across_runs() {
 
 #[test]
 fn per_rank_timelines_are_well_nested() {
-    let options = traced_options();
+    let options = CompilerOptions::default();
     for (name, compiled, mut cfg) in [
         ("gaxpy", gaxpy(&options).0, gaxpy(&options).1),
         ("transpose", transpose(&options).0, transpose(&options).1),
@@ -204,7 +199,7 @@ fn assert_close(label: &str, rank: usize, spans: f64, stats: f64) {
 
 #[test]
 fn span_durations_reconcile_with_machine_stats() {
-    let options = traced_options();
+    let options = CompilerOptions::default();
     for (name, (compiled, base_cfg)) in [
         ("gaxpy", gaxpy(&options)),
         ("transpose", transpose(&options)),
@@ -219,6 +214,7 @@ fn span_durations_reconcile_with_machine_stats() {
             cfg.prefetch = prefetch;
             cfg.cache_budget = cache;
             cfg.fault = fault.clone();
+            cfg.trace = Some(TraceConfig::on());
             let mut outcome = run(&compiled, &cfg).unwrap();
             let trace = outcome.report.take_trace().unwrap();
             let sums = span_sums(&trace);
@@ -256,7 +252,7 @@ fn span_durations_reconcile_with_machine_stats() {
 #[test]
 fn divergence_report_is_zero_gap_where_estimates_are_exact() {
     // Uncached GAXPY and elementwise: the nest walk is exact.
-    let options = traced_options();
+    let options = CompilerOptions::default();
     for (name, (compiled, cfg)) in [("gaxpy", gaxpy(&options)), ("jacobi", jacobi(&options))] {
         let trace = run_trace(&compiled, &cfg);
         let report = divergence_report(&compiled, &trace);
@@ -290,7 +286,7 @@ fn divergence_report_is_zero_gap_where_estimates_are_exact() {
     // stay exact — and sort it first.
     let direct_options = CompilerOptions {
         io_method: Some(pario::IoMethod::Direct),
-        ..traced_options()
+        ..CompilerOptions::default()
     };
     let (compiled, cfg) = transpose(&direct_options);
     assert!(compiled.io_choices[0][0].forced);
@@ -316,7 +312,7 @@ fn divergence_report_is_zero_gap_where_estimates_are_exact() {
     let budget = 1 << 16;
     let cached_options = CompilerOptions {
         cache_budget: Some(budget),
-        ..traced_options()
+        ..CompilerOptions::default()
     };
     let (compiled, mut cfg) = gaxpy(&cached_options);
     cfg.cache_budget = Some(budget);

@@ -56,7 +56,8 @@ fn executor_io_sequence_matches_the_node_program() {
             env.alloc(&plan.b).unwrap();
             env.alloc(&plan.c).unwrap();
             let tracer = TracingCharge::new(ctx);
-            noderun::gaxpy::execute_with_charge(ctx, &mut env, &plan, false, &tracer).unwrap();
+            noderun::gaxpy::execute(ctx, &mut env, &plan, false, &tracer, &Default::default())
+                .unwrap();
             tracer.into_events()
         });
 

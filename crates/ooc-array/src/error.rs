@@ -33,14 +33,6 @@ impl OocError {
             OocError::Comm(_) => true,
         }
     }
-
-    /// True when the failure is a permanent disk death
-    /// ([`IoError::DiskDown`]): no local retry or same-disk
-    /// checkpoint/restart helps — the workload layer must re-plan the job
-    /// onto surviving disks.
-    pub fn is_disk_down(&self) -> bool {
-        matches!(self, OocError::Io(IoError::DiskDown { .. }))
-    }
 }
 
 impl fmt::Display for OocError {
@@ -90,8 +82,6 @@ mod tests {
         assert!(!soft.is_recoverable());
         let dead: OocError = IoError::DiskDown { file: 2 }.into();
         assert!(!dead.is_recoverable(), "a dead disk cannot be restarted");
-        assert!(dead.is_disk_down());
-        assert!(!hard.is_disk_down());
         let comm: OocError = CommError::Recv(dmsim::RecvError::Disconnected { from: 2 }).into();
         assert!(comm.is_recoverable());
         assert!(hard.to_string().contains("permanent"));

@@ -7,10 +7,10 @@
 //! **inspector** reads the indirection array once, bins every target by its
 //! owning rank, exchanges the per-owner want-lists, and coalesces each
 //! owner's serve-list into [`ByteRun`]s; the resulting [`IrregSchedule`] is
-//! serialisable and reusable across iterations, so its cost amortizes. The
-//! **executor** ([`gather_with`]) then drives the schedule through any of
-//! the three access methods — direct piece-wise reads, data sieving, or a
-//! two-phase union read + all-to-all — and [`irreg_counts`] replays each
+//! reusable across iterations, so its cost amortizes. The **executor**
+//! ([`gather_with`]) then drives the schedule through any of the three
+//! access methods — direct piece-wise reads, data sieving, or a two-phase
+//! union read + all-to-all — and [`irreg_counts`] replays each
 //! schedule's request arithmetic exactly, so estimate == measured holds for
 //! the inspected schedule just as it does for the affine paths.
 
@@ -26,19 +26,6 @@ use crate::section::Section;
 
 /// Tag used by the executor's point-to-point gather messages.
 const IRREG_TAG: Tag = Tag(0x16A7);
-
-/// Magic line of the serialised schedule format.
-const SCHED_MAGIC: &str = "oochpf-irreg 1";
-
-/// Fingerprint of the descriptor pair a schedule indexes: any change to
-/// shape, distribution or file layout changes the digest.
-fn desc_digest(data: &ArrayDesc, index: &ArrayDesc) -> u64 {
-    // Each byte goes in widened to a little-endian u64, which keeps the
-    // digests of already-serialised schedules valid.
-    format!("{data:?}|{index:?}")
-        .bytes()
-        .fold(FNV_OFFSET, |h, b| fnv1a64(h, &u64::from(b).to_le_bytes()))
-}
 
 /// What an [`IrregSchedule`] was inspected against. A cached schedule is
 /// only valid while every ingredient the inspector consumed is unchanged:
@@ -61,8 +48,8 @@ pub struct ScheduleStamp {
 
 /// The cached product of one inspection on one rank: where every gathered
 /// element lives, which peers serve it, and the coalesced byte runs this
-/// rank must service for each peer. Serialisable, so schedules can be
-/// persisted next to the arrays they index.
+/// rank must service for each peer. Reused across iterations while
+/// [`IrregSchedule::is_valid_for`] holds.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct IrregSchedule {
     /// Validity stamp — see [`ScheduleStamp`].
@@ -97,158 +84,6 @@ impl IrregSchedule {
             && self.stamp.index == *index
             && self.stamp.rank == rank
             && self.stamp.nprocs == nprocs
-    }
-
-    /// Serialise to a self-describing byte format (version-tagged text
-    /// header + u64 lists), suitable for caching a schedule on disk next
-    /// to the arrays it indexes.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut s = String::new();
-        s.push_str(SCHED_MAGIC);
-        s.push('\n');
-        s.push_str(&format!(
-            "data={} index={} rank={} nprocs={} hash={} digest={} nout={}\n",
-            self.stamp.data.name,
-            self.stamp.index.name,
-            self.stamp.rank,
-            self.stamp.nprocs,
-            self.stamp.index_hash,
-            desc_digest(&self.stamp.data, &self.stamp.index),
-            self.nout,
-        ));
-        let join = |v: &[u64]| v.iter().map(u64::to_string).collect::<Vec<_>>().join(",");
-        s.push_str(&format!(
-            "out_slot={}\n",
-            self.out_slot
-                .iter()
-                .map(|&(p, i)| format!("{p}:{i}"))
-                .collect::<Vec<_>>()
-                .join(",")
-        ));
-        for (label, lists) in [("want", &self.want), ("serve_elems", &self.serve_elems)] {
-            for (j, l) in lists.iter().enumerate() {
-                s.push_str(&format!("{label}[{j}]={}\n", join(l)));
-            }
-        }
-        for (j, runs) in self.serve_runs.iter().enumerate() {
-            s.push_str(&format!(
-                "serve_runs[{j}]={}\n",
-                runs.iter()
-                    .map(|r| format!("{}:{}", r.offset, r.len))
-                    .collect::<Vec<_>>()
-                    .join(",")
-            ));
-        }
-        s.into_bytes()
-    }
-
-    /// Reconstruct a schedule serialised by [`Self::to_bytes`]. The caller
-    /// supplies the descriptors the schedule indexes (like
-    /// [`crate::persist::import_array`], the format validates against them
-    /// rather than storing them); a digest mismatch means the arrays moved
-    /// since the schedule was cached, and the schedule is rejected.
-    pub fn from_bytes(
-        data: &ArrayDesc,
-        index: &ArrayDesc,
-        bytes: &[u8],
-    ) -> Result<IrregSchedule, String> {
-        let text = std::str::from_utf8(bytes).map_err(|e| e.to_string())?;
-        let mut lines = text.lines();
-        if lines.next() != Some(SCHED_MAGIC) {
-            return Err("not an irregular-schedule file".into());
-        }
-        let head = lines.next().ok_or("truncated schedule header")?;
-        let mut fields = std::collections::HashMap::new();
-        for kv in head.split_whitespace() {
-            let (k, v) = kv.split_once('=').ok_or("malformed schedule header")?;
-            fields.insert(k, v);
-        }
-        let get = |k: &str| -> Result<u64, String> {
-            fields
-                .get(k)
-                .ok_or(format!("missing header field {k}"))?
-                .parse()
-                .map_err(|e| format!("bad header field {k}: {e}"))
-        };
-        if fields.get("data") != Some(&data.name.as_str())
-            || fields.get("index") != Some(&index.name.as_str())
-        {
-            return Err("schedule names a different array pair".into());
-        }
-        if get("digest")? != desc_digest(data, index) {
-            return Err("descriptors changed since the schedule was cached".into());
-        }
-        let rank = get("rank")? as usize;
-        let nprocs = get("nprocs")? as usize;
-        let nout = get("nout")? as usize;
-        let index_hash = get("hash")?;
-
-        let parse_list = |s: &str| -> Result<Vec<u64>, String> {
-            if s.is_empty() {
-                return Ok(Vec::new());
-            }
-            s.split(',')
-                .map(|t| t.parse().map_err(|e| format!("bad list entry: {e}")))
-                .collect()
-        };
-        let mut out_slot = Vec::new();
-        let mut want = vec![Vec::new(); nprocs];
-        let mut serve_elems = vec![Vec::new(); nprocs];
-        let mut serve_runs = vec![Vec::new(); nprocs];
-        for line in lines {
-            let (key, val) = line.split_once('=').ok_or("malformed schedule line")?;
-            if key == "out_slot" {
-                for t in val.split(',').filter(|t| !t.is_empty()) {
-                    let (p, i) = t.split_once(':').ok_or("malformed out_slot pair")?;
-                    out_slot.push((
-                        p.parse().map_err(|e| format!("bad peer: {e}"))?,
-                        i.parse().map_err(|e| format!("bad slot: {e}"))?,
-                    ));
-                }
-            } else if let Some(j) = key.strip_prefix("want[").and_then(|r| r.strip_suffix(']')) {
-                let j: usize = j.parse().map_err(|e| format!("bad peer index: {e}"))?;
-                *want.get_mut(j).ok_or("peer out of range")? = parse_list(val)?;
-            } else if let Some(j) = key
-                .strip_prefix("serve_elems[")
-                .and_then(|r| r.strip_suffix(']'))
-            {
-                let j: usize = j.parse().map_err(|e| format!("bad peer index: {e}"))?;
-                *serve_elems.get_mut(j).ok_or("peer out of range")? = parse_list(val)?;
-            } else if let Some(j) = key
-                .strip_prefix("serve_runs[")
-                .and_then(|r| r.strip_suffix(']'))
-            {
-                let j: usize = j.parse().map_err(|e| format!("bad peer index: {e}"))?;
-                let mut runs = Vec::new();
-                for t in val.split(',').filter(|t| !t.is_empty()) {
-                    let (o, l) = t.split_once(':').ok_or("malformed run")?;
-                    runs.push(ByteRun {
-                        offset: o.parse().map_err(|e| format!("bad offset: {e}"))?,
-                        len: l.parse().map_err(|e| format!("bad len: {e}"))?,
-                    });
-                }
-                *serve_runs.get_mut(j).ok_or("peer out of range")? = runs;
-            } else {
-                return Err(format!("unknown schedule line key {key:?}"));
-            }
-        }
-        if out_slot.len() != nout {
-            return Err("out_slot length mismatches nout".into());
-        }
-        Ok(IrregSchedule {
-            stamp: ScheduleStamp {
-                data: data.clone(),
-                index: index.clone(),
-                rank,
-                nprocs,
-                index_hash,
-            },
-            nout,
-            out_slot,
-            want,
-            serve_elems,
-            serve_runs,
-        })
     }
 
     /// Run-length statistics of the inspected index set, as one flat u64
@@ -852,41 +687,6 @@ mod tests {
                 ),
             );
             assert!(!sched.is_valid_for(&moved, &idx, ctx.rank(), ctx.nprocs()));
-        });
-    }
-
-    #[test]
-    fn schedules_serialize_and_round_trip() {
-        let (n, nidx, p) = (16, 32, 2);
-        let (x, idx) = descs(n, nidx, p);
-        let machine = Machine::new(MachineConfig::free(p));
-        machine.run(move |ctx| {
-            let mut env = OocEnv::in_memory(ctx.rank());
-            env.alloc(&x).unwrap();
-            env.alloc(&idx).unwrap();
-            env.load_global(&x, &|g: &[usize]| g[0] as f32).unwrap();
-            env.load_global(&idx, &|g: &[usize]| index_value(g[0], n) as f32)
-                .unwrap();
-            let sched = inspect(ctx, &mut env, &x, &idx, &NoCharge).unwrap();
-            let bytes = sched.to_bytes();
-            let back = IrregSchedule::from_bytes(&x, &idx, &bytes).unwrap();
-            assert_eq!(back, sched);
-            // A distribution change invalidates the cached bytes.
-            let moved = ArrayDesc::new(
-                ArrayId(0),
-                "x",
-                ElemKind::F32,
-                Distribution::new(
-                    Shape::new(vec![n]),
-                    vec![DimDist::Distributed {
-                        kind: DistKind::Cyclic,
-                        axis: 0,
-                    }],
-                    ProcGrid::line(ctx.nprocs()),
-                ),
-            );
-            let err = IrregSchedule::from_bytes(&moved, &idx, &bytes).unwrap_err();
-            assert!(err.contains("changed"), "{err}");
         });
     }
 

@@ -157,15 +157,6 @@ impl OocEnv {
         self.disk.enable_faults_for_job(cfg, job, self.rank);
     }
 
-    /// Clear any armed permanent faults so a checkpoint/restart recovery
-    /// pass can re-issue the failed accesses. Transient fault probabilities
-    /// stay active. No-op without an injector.
-    pub fn quiesce_faults(&self) {
-        if let Some(fi) = self.disk.fault_injector() {
-            fi.quiesce_hard();
-        }
-    }
-
     /// True once the fault layer has injected enough disk faults to mark
     /// this disk degraded; executors should re-plan slab sizes against
     /// reduced I/O bandwidth.

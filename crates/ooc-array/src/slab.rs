@@ -42,15 +42,6 @@ impl SlabPlan {
         SlabPlan::new(local_shape, slab_dim, thickness)
     }
 
-    /// Plan from the paper's *slab ratio* (slab size / OCLA size): a ratio
-    /// of 1 gives a single slab holding the whole OCLA.
-    pub fn from_ratio(local_shape: Shape, slab_dim: usize, ratio: f64) -> Self {
-        assert!(ratio > 0.0 && ratio <= 1.0, "slab ratio in (0, 1]");
-        let extent = local_shape.extent(slab_dim).max(1);
-        let thickness = ((extent as f64 * ratio).round() as usize).clamp(1, extent);
-        SlabPlan::new(local_shape, slab_dim, thickness)
-    }
-
     /// The local array shape being stripmined.
     pub fn local_shape(&self) -> &Shape {
         &self.local_shape
@@ -129,15 +120,6 @@ mod tests {
         // Tiny budget still yields a workable plan.
         let tiny = SlabPlan::from_memory(Shape::matrix(64, 16), 0, 1);
         assert_eq!(tiny.thickness(), 1);
-    }
-
-    #[test]
-    fn from_ratio_matches_paper_slab_ratios() {
-        let local = Shape::matrix(1024, 256);
-        for (ratio, expect_slabs) in [(1.0, 1), (0.5, 2), (0.25, 4), (0.125, 8)] {
-            let plan = SlabPlan::from_ratio(local.clone(), 1, ratio);
-            assert_eq!(plan.num_slabs(), expect_slabs, "ratio {ratio}");
-        }
     }
 
     proptest! {

@@ -161,12 +161,10 @@ impl JobProfile {
 /// given, so the profile reflects exactly the configuration the job would
 /// run with.
 pub fn profile(compiled: &CompiledProgram, cfg: &RunConfig) -> Result<JobProfile, RunError> {
-    let mut cfg = cfg.clone();
-    match cfg.machine.as_mut() {
-        // An explicit machine carries its own trace configuration.
-        Some(m) => m.trace = TraceConfig::detailed(),
-        None => cfg.trace = Some(TraceConfig::detailed()),
-    }
+    let cfg = RunConfig {
+        trace: Some(TraceConfig::detailed()),
+        ..cfg.clone()
+    };
     let mut out = run(compiled, &cfg)?;
     let trace = out
         .report

@@ -2,7 +2,7 @@
 //!
 //! One simulated physical disk per rank id: job streams captured by
 //! [`crate::capture`] feed per-disk request queues, and a
-//! [`Policy`](crate::Policy) decides the service order. The replay is
+//! [`Policy`] decides the service order. The replay is
 //! closed-loop — a stream's next request arrives only after its previous
 //! one finished plus the solo inter-request gap — so queueing delay
 //! propagates through each job exactly once, and the whole farm is a pure

@@ -29,7 +29,7 @@
 //!   ([`WorkloadObserver`]), a deterministic fixed-cadence sampler, a
 //!   bounded crash flight recorder, and SLO scorecards — all guaranteed
 //!   never to perturb the replay they watch.
-//! * [`serve`] — `oocd`, the persistent multi-tenant I/O daemon: it owns
+//! * [`mod@serve`] — `oocd`, the persistent multi-tenant I/O daemon: it owns
 //!   the farm, accepts length-prefixed JSON submissions over Unix-domain
 //!   or TCP sockets from many tenants, seals the virtual timeline on
 //!   `drain`, maps the session onto the guarded observed runtime, and

@@ -59,18 +59,6 @@ impl ProgramJob {
     }
 }
 
-/// Force detailed tracing on a capture configuration, exactly as
-/// [`crate::capture::profile`] does.
-fn capture_cfg(cfg: &RunConfig) -> RunConfig {
-    let mut cfg = cfg.clone();
-    match cfg.machine.as_mut() {
-        // An explicit machine carries its own trace configuration.
-        Some(m) => m.trace = TraceConfig::detailed(),
-        None => cfg.trace = Some(TraceConfig::detailed()),
-    }
-    cfg
-}
-
 /// Capture every job's solo profile, with all captures in flight at once on
 /// `pool`.
 ///
@@ -95,7 +83,10 @@ pub fn profile_all_on(jobs: &[ProgramJob], pool: &WorkerPool) -> Result<Vec<JobP
         .map(|job| {
             start(
                 Arc::clone(&job.compiled),
-                Arc::new(capture_cfg(&job.cfg)),
+                Arc::new(RunConfig {
+                    trace: Some(TraceConfig::detailed()),
+                    ..job.cfg.clone()
+                }),
                 pool,
             )
         })

@@ -1041,7 +1041,7 @@ impl Client {
 }
 
 /// Encode a [`JobSpec`]-shaped submission request. The inverse of
-/// [`parse_spec`]; `oocload` and the tests build their traffic with it.
+/// `parse_spec`; `oocload` and the tests build their traffic with it.
 pub fn submit_json(tenant: &str, spec: &JobSpec) -> String {
     let mut out = format!(
         "{{\"op\":\"submit\",\"job\":{{\"tenant\":\"{}\",\"name\":\"{}\",\

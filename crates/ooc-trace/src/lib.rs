@@ -317,12 +317,6 @@ impl Args {
         self
     }
 
-    /// Attach an I/O access-method label.
-    pub fn with_method(mut self, method: &str) -> Args {
-        self.method = Some(method.to_string());
-        self
-    }
-
     /// Attach a starting file offset (scheduling replay detail).
     pub fn with_offset(mut self, offset: u64) -> Args {
         self.offset = Some(offset);

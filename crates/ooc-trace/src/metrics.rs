@@ -133,29 +133,6 @@ impl Histogram {
         self.max = self.max.max(other.max);
     }
 
-    /// Cumulative bucket counts as `(upper_bound, cumulative)` pairs over
-    /// the non-empty prefix, ending with the total — the shape a Prometheus
-    /// histogram exposition wants (`le` buckets plus `+Inf == count`).
-    pub fn cumulative_buckets(&self) -> Vec<(u64, u64)> {
-        let mut out = Vec::new();
-        let mut cum = 0u64;
-        let last = (0..64).rev().find(|&i| self.buckets[i] > 0);
-        if let Some(last) = last {
-            for i in 0..=last {
-                cum += self.buckets[i];
-                // Bucket i holds values in [2^i, 2^(i+1)); its inclusive
-                // upper bound saturates at u64::MAX for the top bucket.
-                let hi = if i == 63 {
-                    u64::MAX
-                } else {
-                    (1u64 << (i + 1)) - 1
-                };
-                out.push((hi, cum));
-            }
-        }
-        out
-    }
-
     /// Non-empty buckets as `(low_bound, count)` pairs.
     pub fn nonzero_buckets(&self) -> Vec<(u64, u64)> {
         self.buckets
@@ -359,20 +336,6 @@ pub fn from_trace(trace: &Trace) -> MetricsRegistry {
     reg
 }
 
-/// Time breakdown of a single rank timeline (used by reconciliation tests).
-pub fn rank_time_breakdown(rt: &RankTrace) -> TimeBreakdown {
-    let mut td = TimeBreakdown::default();
-    for ev in &rt.events {
-        if ev.kind == EventKind::Counter {
-            continue;
-        }
-        if let Some(group) = ev.cat.time_group() {
-            td.add(group, ev.dur());
-        }
-    }
-    td
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -463,26 +426,6 @@ mod tests {
         assert_eq!(lo.max(), u64::MAX);
         assert_eq!(lo.percentile(0.5), 1);
         assert_eq!(lo.percentile(1.0), 1u64 << 63);
-        // The cumulative exposition spans every bucket up to the top one,
-        // ends at the total count, and its last upper bound saturates.
-        let cum = lo.cumulative_buckets();
-        assert_eq!(cum.len(), 64);
-        assert_eq!(cum.first(), Some(&(1, 1)));
-        assert_eq!(cum.last(), Some(&(u64::MAX, 2)));
-    }
-
-    #[test]
-    fn cumulative_buckets_are_monotone_and_end_at_count() {
-        let h = Histogram::default();
-        assert!(h.cumulative_buckets().is_empty());
-        let mut h = Histogram::default();
-        h.record_n(1, 2);
-        h.record_n(100, 3);
-        let cum = h.cumulative_buckets();
-        // Every bucket up to the last non-empty one appears, cumulative.
-        assert_eq!(cum.first(), Some(&(1, 2)));
-        assert_eq!(cum.last(), Some(&(127, 5)));
-        assert!(cum.windows(2).all(|w| w[0].0 < w[1].0 && w[0].1 <= w[1].1));
     }
 
     #[test]
@@ -583,6 +526,5 @@ mod tests {
         assert_eq!(reg.msg_bytes.count(), 1);
         // Phase span itself contributes no time group.
         assert_eq!(reg.by_category[&Category::Phase].seconds, 4.0);
-        assert_eq!(rank_time_breakdown(&trace.ranks[0]).total(), 4.0);
     }
 }

@@ -14,7 +14,8 @@ use noderun::{
     divergence_report, init_fn, max_abs_diff, ref_transpose, run, RunConfig, RunOutcome,
 };
 use ooc_bench::gaxpy_hir;
-use ooc_core::{compile_hir, compile_source, CompiledProgram, CompilerOptions};
+use ooc_core::stripmine::SlabSizing;
+use ooc_core::{compile_hir, compile_source, CompiledProgram, CompilerOptions, SlabStrategy};
 use proptest::prelude::*;
 
 fn fa(g: &[usize]) -> f32 {
@@ -122,17 +123,19 @@ fn transpose_compiled(n: usize, method: pario::IoMethod) -> CompiledProgram {
     );
     let options = CompilerOptions {
         io_method: Some(method),
-        trace: TraceConfig::on(),
         ..CompilerOptions::default()
     };
     compile_source(&src, &options).unwrap()
 }
 
 fn transpose_outcome(compiled: &CompiledProgram, fault: Option<FaultConfig>) -> RunOutcome {
-    let mut cfg = RunConfig::default();
+    let mut cfg = RunConfig {
+        trace: Some(TraceConfig::on()),
+        fault,
+        ..RunConfig::default()
+    };
     cfg.init.insert("a".into(), init_fn(fa));
     cfg.collect.push("b".into());
-    cfg.fault = fault;
     run(compiled, &cfg).unwrap()
 }
 
@@ -237,22 +240,55 @@ fn hard_faults_recover_through_checkpoints() {
 }
 
 /// A disk marked degraded mid-run triggers a cost-model re-plan of the slab
-/// sizes; the replanned run still computes the fault-free answer (its I/O
-/// schedule legitimately differs, so only results are compared).
+/// sizes; the replanned run still computes the fault-free answer. Two-column
+/// slabs give several outer slabs, so the re-plan check runs after the disk
+/// degrades, and the changed read-request count shows that it fired. The
+/// cached run prices the re-plan through the cache-aware split.
 #[test]
 fn degraded_disk_replans_and_stays_correct() {
-    let compiled = gaxpy_compiled(24, 4);
-    let clean = gaxpy_outcome(&compiled, None, None);
-
-    let cfg = FaultConfig {
+    let options = CompilerOptions {
+        sizing: SlabSizing::Explicit { a: 2, b: 2 },
+        force_strategy: Some(SlabStrategy::ColumnSlab),
+        ..CompilerOptions::default()
+    };
+    let compiled = compile_hir(gaxpy_hir(24, 4), &options).unwrap();
+    let degrade = FaultConfig {
         read_error: 0.25,
         degrade_after: 2,
         ..FaultConfig::quiet(5)
     };
-    let degraded = gaxpy_outcome(&compiled, Some(cfg), None);
-    assert_eq!(degraded.collected["c"], clean.collected["c"]);
-    assert!(degraded.report.totals().faults_injected >= 2);
-    assert!(degraded.report.elapsed() > clean.report.elapsed());
+    let clean = gaxpy_outcome(&compiled, None, None);
+    for cache_budget in [None, Some(1 << 12)] {
+        let outcome = |fault: Option<FaultConfig>| {
+            let mut cfg = RunConfig {
+                fault,
+                cache_budget,
+                ..RunConfig::default()
+            };
+            cfg.init.insert("a".into(), init_fn(fa));
+            cfg.init.insert("b".into(), init_fn(fb));
+            cfg.collect.push("c".into());
+            run(&compiled, &cfg).unwrap()
+        };
+        let healthy = outcome(None);
+        let degraded = outcome(Some(degrade.clone()));
+        let reads = |o: &RunOutcome| o.report.totals().io_read_requests;
+        assert_eq!(
+            degraded.collected["c"], clean.collected["c"],
+            "{cache_budget:?}"
+        );
+        assert_eq!(
+            healthy.collected["c"], clean.collected["c"],
+            "{cache_budget:?}"
+        );
+        assert!(degraded.report.totals().faults_injected >= 2);
+        assert!(degraded.report.elapsed() > healthy.report.elapsed());
+        assert_ne!(
+            reads(&degraded),
+            reads(&healthy),
+            "{cache_budget:?}: the degraded disk must re-plan the slabs"
+        );
+    }
 }
 
 /// Chaos transparency holds for the stencil executor (ghost-cell p2p
